@@ -21,14 +21,11 @@ from .boosting import (
     RegressionTree,
     confusion,
     cv_deviance_curve,
-    cv_select_trees,
     fit_boost,
     fit_boost_cv,
     in_sample_importance,
     load_model,
     partial_dependence,
-    predict_margin,
-    predict_risk,
     save_model,
 )
 from .clustering import (
@@ -99,7 +96,6 @@ __all__ = [
     "confusion",
     "cut_clusters",
     "cv_deviance_curve",
-    "cv_select_trees",
     "dendrogram_to_newick",
     "evolve",
     "fit_boost",
@@ -115,8 +111,6 @@ __all__ = [
     "nearest_match",
     "partial_dependence",
     "predict_logistic",
-    "predict_margin",
-    "predict_risk",
     "rank_select",
     "reverse_coding_importance",
     "run_pipeline",

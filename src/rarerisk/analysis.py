@@ -111,7 +111,7 @@ def reverse_coding_importance(
     column of a private working copy and restores it afterwards, verified
     by bit-equality against the original members.
     """
-    if model.p >= 0 and pop.p != model.p:
+    if pop.p != model.p:
         raise RareRiskError(
             f"population has {pop.p} predictors, model expects {model.p}"
         )

@@ -35,9 +35,6 @@ __all__ = [
     "fit_boost",
     "fit_boost_cv",
     "cv_deviance_curve",
-    "cv_select_trees",
-    "predict_risk",
-    "predict_margin",
     "confusion",
     "in_sample_importance",
     "partial_dependence",
@@ -433,7 +430,7 @@ def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
         tree, row_values = _refit_leaves(tree, X, y, w, F)
         F = F + config.shrinkage * row_values
         trees.append(tree)
-        train_dev[t] = 2.0 * float(np.sum(w * _loss_terms(y, F))) / wsum
+        train_dev[t] = weighted_deviance(y, w, F)
 
     return BoostModel(
         intercept=intercept,
@@ -473,7 +470,7 @@ def _staged_deviance_sums(
     out = np.empty(len(model.trees))
     for t, tree in enumerate(model.trees):
         F += model.shrinkage * tree.apply(X)
-        out[t] = 2.0 * float(np.sum(w * _loss_terms(y, F)))
+        out[t] = _deviance_sum(y, w, F)
     return out
 
 
@@ -505,12 +502,6 @@ def cv_deviance_curve(train: DataSet, config: BoostConfig) -> np.ndarray:
     return dev_total / weight_total
 
 
-def cv_select_trees(train: DataSet, config: BoostConfig) -> int:
-    """Iteration count minimizing mean held-out deviance (ties: fewer)."""
-    curve = cv_deviance_curve(train, config)
-    return int(np.argmin(curve)) + 1
-
-
 def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
     """Fit on all training rows with the CV-selected iteration count."""
     curve = cv_deviance_curve(train, config)
@@ -521,16 +512,6 @@ def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
 
 # ---------------------------------------------------------------------------
 # Prediction and summaries
-
-
-def predict_margin(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    """Log-odds scores: intercept + shrinkage * sum of used tree outputs."""
-    return model.margin(X)
-
-
-def predict_risk(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    """Predicted event probabilities, one per row of X."""
-    return model.predict(X)
 
 
 def _rate(num: float, den: float) -> float:
@@ -680,6 +661,8 @@ def model_to_dict(model: BoostModel) -> dict:
 
 
 def model_from_dict(data: dict) -> BoostModel:
+    if not isinstance(data, dict):
+        raise FitError("a boost model document must be a JSON object")
     if data.get("format") != _FORMAT:
         raise FitError(f"not a boost model document: {data.get('format')!r}")
     if data.get("version") != _VERSION:
@@ -715,5 +698,9 @@ def save_model(model: BoostModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BoostModel:
+    """Inverse of save_model; a truncated or malformed file is a FitError."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FitError(f"malformed model file {path}: {exc!r}") from exc

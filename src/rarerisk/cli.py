@@ -8,16 +8,11 @@ overrides individual entries.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import warnings
-from pathlib import Path
 
-import yaml
-
-from . import __version__, analysis, boosting, clustering, genetic, logistic
+from . import __version__, boosting, clustering, genetic
 from . import pipeline as pipeline_mod
-from . import render, reports
+from . import reports
 from .dataset import load_csv, split_train_test, synthesize, write_csv
 from .errors import ConfigError, RareRiskError, StageError
 
@@ -100,33 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_overridden_config(args) -> pipeline_mod.PipelineConfig:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        value = yaml.safe_load(raw)
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot override {key!r}: not a mapping")
-        node[parts[-1]] = value
-    if args.output_dir:
-        doc["output_dir"] = args.output_dir
-    return pipeline_mod.config_from_dict(doc, base_dir=path.parent)
+def _load_config(args) -> pipeline_mod.PipelineConfig:
+    return pipeline_mod.load_config(args.config, args.set, args.output_dir)
 
 
 def _cmd_pipeline(args) -> int:
-    config = _load_overridden_config(args)
+    config = _load_config(args)
     manifest = pipeline_mod.run_pipeline(config)
     print(f"run complete: {config.output_dir}")
     for art in manifest.artifacts:
@@ -135,7 +109,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = _load_overridden_config(args)
+    config = _load_config(args)
     if config.synth is None:
         raise ConfigError("synth command needs a dataset.synth section")
     ds = synthesize(config.synth)
@@ -156,33 +130,16 @@ def _cmd_split(args) -> int:
 
 def _cmd_baseline(args) -> int:
     ds = load_csv(args.train, response=args.response)
-    model = logistic.fit_logistic(ds)
-    probs = logistic.predict_logistic(model, ds.X)
-    doc = {
-        "intercept": model.intercept,
-        "coefficients": dict(
-            zip(ds.schema.names, model.coefficients.tolist())
-        ),
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "diagnostic": model.diagnostic,
-        "max_fitted_probability": float(probs.max()),
-        "mean_fitted_probability": float(probs.mean()),
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    doc, probs = pipeline_mod.logistic_summary(ds)
+    pipeline_mod.write_json(args.out, doc)
     print(f"max fitted probability: {probs.max():.4f}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _load_overridden_config(args)
+    config = _load_config(args)
     ds = load_csv(args.train, response=config.csv_response)
-    if config.use_cv:
-        model = boosting.fit_boost_cv(ds, config.boost)
-    else:
-        model = boosting.fit_boost(ds, config.boost)
+    model = pipeline_mod.fit_model(ds, config)
     boosting.save_model(model, args.out)
     print(
         f"fitted {len(model.trees)} trees, using {model.n_trees_used}; "
@@ -192,12 +149,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    config = _load_overridden_config(args)
+    config = _load_config(args)
     model = boosting.load_model(args.model)
-
-    trace = genetic.evolve(
-        None, model.p, config.ga, batch_fitness=model.predict
-    )
+    trace = pipeline_mod.search(model, config.ga)
     genetic.save_population_csv(trace.final, args.population_out)
     reports.write_ga_trace(trace, args.trace_out)
     best = trace.best[-1]
@@ -206,19 +160,18 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _load_overridden_config(args)
+    config = _load_config(args)
     model = boosting.load_model(args.model)
     pop, names = genetic.load_population_csv(args.population)
-    common = analysis.commonality_importance(pop, config.epsilon)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        reverse = analysis.reverse_coding_importance(model, pop, common)
-    for w in caught:
-        print(f"note: {w.message}")
-    importance = boosting.in_sample_importance(model)
-    reports.write_importance_table(
-        names, importance, common, reverse, args.out
+    common, reverse = pipeline_mod.population_importance(
+        model, pop, config.epsilon
     )
+    if not reverse.predictors:
+        print(
+            "note: no universal predictors found; reverse-coding report "
+            "is empty"
+        )
+    pipeline_mod.write_importance(model, names, common, reverse, args.out)
     print(
         f"benchmark mean risk {reverse.benchmark_mean:.4f}; "
         f"{len(common.universal)} universal predictors; table -> {args.out}"
@@ -228,13 +181,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_cluster(args) -> int:
     pop, names = genetic.load_population_csv(args.population)
-    d = clustering.gower_binary_dissimilarity(pop)
-    dg = clustering.agnes_average_linkage(d, labels=names)
-    render.render_dendrogram(dg, args.svg_out)
-    if args.newick_out:
-        Path(args.newick_out).write_text(
-            clustering.dendrogram_to_newick(dg) + "\n", encoding="utf-8"
-        )
+    dg = pipeline_mod.cluster_predictors(
+        pop, names, args.svg_out, args.newick_out
+    )
     print(
         f"agglomerative coefficient: {dg.agglomerative_coefficient:.4f}; "
         f"figure -> {args.svg_out}"
@@ -278,13 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RareRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RareRiskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -183,31 +183,20 @@ def mutate(
 
 
 def _evaluate(
-    fitness: FitnessFn | None,
-    batch_fitness: BatchFitnessFn | None,
+    batch_fitness: BatchFitnessFn,
     members: np.ndarray,
     out: np.ndarray,
     rows: np.ndarray,
 ) -> None:
-    if batch_fitness is not None:
-        values = np.asarray(batch_fitness(members[rows]), np.float64)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            k = rows[int(np.argmax(bad))]
-            raise GeneticError(
-                f"fitness returned non-finite value for chromosome "
-                f"{members[k].tolist()}"
-            )
-        out[rows] = values
-        return
-    for i in rows:
-        v = float(fitness(members[i]))
-        if not np.isfinite(v):
-            raise GeneticError(
-                f"fitness returned non-finite value {v!r} for chromosome "
-                f"{members[i].tolist()}"
-            )
-        out[i] = v
+    values = np.asarray(batch_fitness(members[rows]), np.float64)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeneticError(
+            f"fitness returned non-finite value {float(values[k])!r} for "
+            f"chromosome {members[rows[k]].tolist()}"
+        )
+    out[rows] = values
 
 
 def evolve(
@@ -229,14 +218,19 @@ def evolve(
     """
     if p < 1:
         raise GeneticError("chromosome length p must be at least 1")
-    if fitness is None and batch_fitness is None:
-        raise GeneticError("a fitness function is required")
+    if batch_fitness is None:
+        if fitness is None:
+            raise GeneticError("a fitness function is required")
+
+        def batch_fitness(members: np.ndarray) -> np.ndarray:
+            return np.array([float(fitness(c)) for c in members])
+
     rng = np.random.default_rng(config.seed)
     n, n_elite = config.pop_size, config.n_elite
 
     members = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
     fit = np.empty(n)
-    _evaluate(fitness, batch_fitness, members, fit, np.arange(n))
+    _evaluate(batch_fitness, members, fit, np.arange(n))
 
     best = [float(fit.max())]
     mean = [float(fit.mean())]
@@ -264,9 +258,7 @@ def evolve(
                 c1, c2 = pa.copy(), pb.copy()
             children[2 * k] = c1
             children[2 * k + 1] = c2
-        children = children[:n_children]
-        flips = rng.random(children.shape) < config.p_mutation
-        children = np.where(flips, 1 - children, children).astype(np.uint8)
+        children = mutate(children[:n_children], config.p_mutation, rng)
 
         if n_elite > 0:
             # Highest-fitness members survive unchanged, fitness cached.
@@ -276,11 +268,11 @@ def evolve(
             new_fit[:n_elite] = fit[elite_idx]
             members = new_members
             fit = new_fit
-            _evaluate(fitness, batch_fitness, members, fit, np.arange(n_elite, n))
+            _evaluate(batch_fitness, members, fit, np.arange(n_elite, n))
         else:
             members = children
             fit = np.empty(n)
-            _evaluate(fitness, batch_fitness, members, fit, np.arange(n))
+            _evaluate(batch_fitness, members, fit, np.arange(n))
 
         best.append(float(fit.max()))
         mean.append(float(fit.mean()))
@@ -315,16 +307,26 @@ def load_population_csv(path: str | Path) -> tuple[Population, list[str]]:
     """Inverse of save_population_csv; returns (population, names)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[-1] != "fitness":
             raise GeneticError("population CSV must end with a fitness column")
         names = header[:-1]
         genes_rows, fitness = [], []
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            genes_rows.append([int(v) for v in row[:-1]])
-            fitness.append(float(row[-1]))
+            if len(row) != len(header):
+                raise GeneticError(
+                    f"population CSV line {line} has {len(row)} cells, "
+                    f"expected {len(header)}"
+                )
+            try:
+                genes_rows.append([int(v) for v in row[:-1]])
+                fitness.append(float(row[-1]))
+            except ValueError as exc:
+                raise GeneticError(
+                    f"population CSV line {line}: {exc}"
+                ) from None
     if not genes_rows:
         raise GeneticError("population CSV has no members")
     pop = Population(

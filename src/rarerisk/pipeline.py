@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 import yaml
@@ -268,16 +268,47 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> PipelineConfig:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Parse a YAML (or JSON) configuration file."""
+def _parse_yaml(text, what: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {what}: {exc}") from exc
+
+
+def load_config(
+    path: str | Path,
+    overrides: Sequence[str] = (),
+    output_dir: str | None = None,
+) -> PipelineConfig:
+    """Parse a YAML (or JSON) configuration file.
+
+    overrides are "key.path=value" entries whose values parse as YAML
+    (the CLI's --set); output_dir, when given, replaces the configured
+    output directory. Both apply to the parsed document before it is
+    validated.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        doc = _parse_yaml(fh, str(path))
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration root must be a mapping")
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        key, _, raw = item.partition("=")
+        node = doc
+        parts = key.split(".")
+        for part in parts[:-1]:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"cannot override {key!r}: not a mapping")
+        node[parts[-1]] = _parse_yaml(raw, f"--set {item!r}")
+    if output_dir:
+        doc["output_dir"] = output_dir
     return config_from_dict(doc, base_dir=path.parent)
 
 
@@ -316,7 +347,8 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Mutable state threaded through the pipeline stages."""
+    """Stage results threaded through the pipeline, plus the manifest's
+    artifact registry."""
 
     def __init__(self, config: PipelineConfig):
         self.cfg = config
@@ -336,12 +368,10 @@ class _Run:
         self.train: DataSet | None = None
         self.test: DataSet | None = None
         self.model: boosting.BoostModel | None = None
-        self.table: boosting.ConfusionTable | None = None
         self.trace: genetic.GaTrace | None = None
         self.repeat_traces: list[genetic.GaTrace] = []
         self.commonality: analysis.CommonalityReport | None = None
         self.reverse: analysis.ReverseCodingReport | None = None
-        self.dendrogram: clustering.Dendrogram | None = None
 
     def add_artifact(self, path: Path, kind: str) -> None:
         self.manifest.artifacts.append(
@@ -352,12 +382,109 @@ class _Run:
             }
         )
 
-    def write_json(self, name: str, kind: str, doc: dict) -> None:
+    def add_json(self, name: str, kind: str, doc: dict) -> None:
         path = self.out / name
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=True)
-            fh.write("\n")
+        write_json(path, doc)
         self.add_artifact(path, kind)
+
+
+# ---------------------------------------------------------------------------
+# Stage work shared by run_pipeline and the stagewise CLI commands
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a summary document as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=True)
+        fh.write("\n")
+
+
+def logistic_summary(train: DataSet) -> tuple[dict, np.ndarray]:
+    """Fit the logistic baseline on train.
+
+    Returns the logistic_summary.json document and the fitted training
+    probabilities.
+    """
+    model = logistic.fit_logistic(train)
+    probs = logistic.predict_logistic(model, train.X)
+    doc = {
+        "intercept": model.intercept,
+        "coefficients": model.coefficients.tolist(),
+        "converged": model.converged,
+        "iterations": model.iterations,
+        "diagnostic": model.diagnostic,
+        "max_fitted_probability": float(probs.max()),
+        "mean_fitted_probability": float(probs.mean()),
+        "train_base_rate": dataset_base_rate(train),
+    }
+    return doc, probs
+
+
+def fit_model(train: DataSet, config: PipelineConfig) -> boosting.BoostModel:
+    """Fit the boosted model; with config.use_cv the number of trees used
+    is selected by cross-validation, otherwise every grown tree is used."""
+    if config.use_cv:
+        return boosting.fit_boost_cv(train, config.boost)
+    return boosting.fit_boost(train, config.boost)
+
+
+def search(model: boosting.BoostModel, ga: GaConfig) -> genetic.GaTrace:
+    """Genetic search with the model's predicted risk as fitness."""
+    return genetic.evolve(None, model.p, ga, batch_fitness=model.predict)
+
+
+def population_importance(
+    model: boosting.BoostModel, pop: genetic.Population, epsilon: float
+) -> tuple[analysis.CommonalityReport, analysis.ReverseCodingReport]:
+    """Commonality of the population's predictors, then reverse coding of
+    the universal ones."""
+    common = analysis.commonality_importance(pop, epsilon)
+    with warnings.catch_warnings():
+        # An empty universal set is a legitimate outcome here; the report
+        # is then empty and the importance table records the notice.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reverse = analysis.reverse_coding_importance(model, pop, common)
+    return common, reverse
+
+
+def write_importance(
+    model: boosting.BoostModel,
+    names: Sequence[str],
+    common: analysis.CommonalityReport,
+    reverse: analysis.ReverseCodingReport,
+    path_base: str | Path,
+) -> list[Path]:
+    """Write the merged importance table as <base>.csv and <base>.json."""
+    return reports.write_importance_table(
+        names,
+        boosting.in_sample_importance(model),
+        common,
+        reverse,
+        path_base,
+    )
+
+
+def cluster_predictors(
+    pop: genetic.Population,
+    names: Sequence[str],
+    svg_path: str | Path,
+    newick_path: str | Path | None = None,
+) -> clustering.Dendrogram:
+    """Cluster the population's predictors (Gower dissimilarity, average
+    linkage) and draw the dendrogram as SVG, plus Newick when a path for
+    it is given."""
+    d = clustering.gower_binary_dissimilarity(pop)
+    dg = clustering.agnes_average_linkage(d, labels=names)
+    render.render_dendrogram(dg, svg_path, title="Clustering of risk predictors")
+    if newick_path:
+        Path(newick_path).write_text(
+            clustering.dendrogram_to_newick(dg) + "\n", encoding="utf-8"
+        )
+    return dg
+
+
+# ---------------------------------------------------------------------------
+# Stages
 
 
 def _stage_dataset(run: _Run) -> None:
@@ -378,8 +505,7 @@ def _stage_split(run: _Run) -> None:
 
 
 def _stage_baseline(run: _Run) -> None:
-    model = logistic.fit_logistic(run.train)
-    probs = logistic.predict_logistic(model, run.train.X)
+    doc, probs = logistic_summary(run.train)
     fig = run.out / "hist_logistic.svg"
     render.render_histogram(
         probs,
@@ -388,28 +514,12 @@ def _stage_baseline(run: _Run) -> None:
         title="Fitted risk probabilities: logistic baseline (train)",
     )
     run.add_artifact(fig, "histogram")
-    run.write_json(
-        "logistic_summary.json",
-        "logistic_summary",
-        {
-            "intercept": model.intercept,
-            "coefficients": model.coefficients.tolist(),
-            "converged": model.converged,
-            "iterations": model.iterations,
-            "diagnostic": model.diagnostic,
-            "max_fitted_probability": float(probs.max()),
-            "mean_fitted_probability": float(probs.mean()),
-            "train_base_rate": dataset_base_rate(run.train),
-        },
-    )
+    run.add_json("logistic_summary.json", "logistic_summary", doc)
 
 
 def _stage_boost(run: _Run) -> None:
     cfg = run.cfg
-    if cfg.use_cv:
-        run.model = boosting.fit_boost_cv(run.train, cfg.boost)
-    else:
-        run.model = boosting.fit_boost(run.train, cfg.boost)
+    run.model = fit_model(run.train, cfg)
     model_path = run.out / "model.json"
     boosting.save_model(run.model, model_path)
     run.add_artifact(model_path, "model")
@@ -423,7 +533,7 @@ def _stage_boost(run: _Run) -> None:
         title="Predicted risk probabilities: weighted boosting (test)",
     )
     run.add_artifact(fig, "histogram")
-    run.write_json(
+    run.add_json(
         "boost_summary.json",
         "boost_summary",
         {
@@ -445,8 +555,8 @@ def _stage_boost(run: _Run) -> None:
 
 
 def _stage_confusion(run: _Run) -> None:
-    run.table = boosting.confusion(run.model, run.test, run.cfg.threshold)
-    for path in reports.write_confusion_table(run.table, run.out / "confusion"):
+    table = boosting.confusion(run.model, run.test, run.cfg.threshold)
+    for path in reports.write_confusion_table(table, run.out / "confusion"):
         kind = (
             "confusion_table" if path.suffix == ".csv" else "confusion_table_json"
         )
@@ -455,19 +565,10 @@ def _stage_confusion(run: _Run) -> None:
 
 def _stage_ga(run: _Run) -> None:
     cfg = run.cfg
-    model = run.model
-
-    def batch(members: np.ndarray) -> np.ndarray:
-        return model.predict(members)
-
-    run.trace = genetic.evolve(
-        None, run.train.p, cfg.ga, batch_fitness=batch
-    )
+    run.trace = search(run.model, cfg.ga)
     for i in range(1, cfg.ga_repeats):
         repeat_cfg = dataclasses.replace(cfg.ga, seed=cfg.ga.seed + i)
-        run.repeat_traces.append(
-            genetic.evolve(None, run.train.p, repeat_cfg, batch_fitness=batch)
-        )
+        run.repeat_traces.append(search(run.model, repeat_cfg))
 
     fig = run.out / "hist_ga.svg"
     render.render_histogram(
@@ -482,16 +583,11 @@ def _stage_ga(run: _Run) -> None:
 def _stage_analysis(run: _Run) -> None:
     cfg = run.cfg
     pop = run.trace.final
-    run.commonality = analysis.commonality_importance(pop, cfg.epsilon)
-    with warnings.catch_warnings():
-        # An empty universal set is a legitimate outcome here; the report
-        # itself records the notice.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        run.reverse = analysis.reverse_coding_importance(
-            run.model, pop, run.commonality
-        )
+    run.commonality, run.reverse = population_importance(
+        run.model, pop, cfg.epsilon
+    )
     best_counts, global_max = analysis.nearest_match(pop, run.data)
-    run.write_json(
+    run.add_json(
         "analysis_summary.json",
         "analysis_summary",
         {
@@ -544,19 +640,12 @@ def _write_stability(run: _Run) -> None:
 
 
 def _stage_clustering(run: _Run) -> None:
-    pop = run.trace.final
-    d = clustering.gower_binary_dissimilarity(pop)
-    run.dendrogram = clustering.agnes_average_linkage(
-        d, labels=run.data.schema.names
-    )
-    dg = run.dendrogram
     fig = run.out / "dendrogram.svg"
-    render.render_dendrogram(dg, fig, title="Clustering of risk predictors")
-    run.add_artifact(fig, "dendrogram")
     nwk = run.out / "dendrogram.newick"
-    nwk.write_text(clustering.dendrogram_to_newick(dg) + "\n", encoding="utf-8")
+    dg = cluster_predictors(run.trace.final, run.data.schema.names, fig, nwk)
+    run.add_artifact(fig, "dendrogram")
     run.add_artifact(nwk, "dendrogram_newick")
-    run.write_json(
+    run.add_json(
         "dendrogram.json",
         "dendrogram_json",
         {
@@ -572,13 +661,8 @@ def _stage_clustering(run: _Run) -> None:
 
 def _stage_reports(run: _Run) -> None:
     names = run.data.schema.names
-    importance = boosting.in_sample_importance(run.model)
-    paths = reports.write_importance_table(
-        names,
-        importance,
-        run.commonality,
-        run.reverse,
-        run.out / "importance",
+    paths = write_importance(
+        run.model, names, run.commonality, run.reverse, run.out / "importance"
     )
     for path in paths:
         kind = (
@@ -670,15 +754,19 @@ def verify_manifest(run_dir: str | Path) -> dict:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        entries = [(a["path"], a["sha256"]) for a in doc.get("artifacts", [])]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed manifest {manifest_path}: {exc!r}") from exc
     mismatched, missing = [], []
-    for art in doc.get("artifacts", []):
-        path = run_dir / art["path"]
+    for rel, digest in entries:
+        path = run_dir / rel
         if not path.exists():
-            missing.append(art["path"])
-        elif _sha256(path) != art["sha256"]:
-            mismatched.append(art["path"])
+            missing.append(rel)
+        elif _sha256(path) != digest:
+            mismatched.append(rel)
     return {
         "ok": not mismatched and not missing,
         "mismatched": mismatched,

@@ -16,13 +16,12 @@ import numpy as np
 from .analysis import CommonalityReport, ReverseCodingReport
 from .boosting import ConfusionTable
 from .errors import RenderError
-from .genetic import GaTrace, Population, save_population_csv
+from .genetic import GaTrace
 
 __all__ = [
     "write_confusion_table",
     "write_importance_table",
     "write_ga_trace",
-    "emit_reports",
 ]
 
 
@@ -164,34 +163,6 @@ def write_ga_trace(trace: GaTrace, path_base: str | Path) -> list[Path]:
         },
     )
     return [csv_path, json_path]
-
-
-def emit_reports(
-    out_dir: str | Path,
-    names: Sequence[str],
-    confusion_table: ConfusionTable,
-    in_sample: np.ndarray,
-    commonality: CommonalityReport,
-    reverse: ReverseCodingReport | None,
-    trace: GaTrace,
-    population: Population,
-) -> dict[str, list[Path]]:
-    """Write the full table set into out_dir; returns paths by kind."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = {
-        "confusion_table": write_confusion_table(
-            confusion_table, out / "confusion"
-        ),
-        "importance_table": write_importance_table(
-            names, in_sample, commonality, reverse, out / "importance"
-        ),
-        "ga_trace": write_ga_trace(trace, out / "ga_trace"),
-    }
-    pop_path = out / "population.csv"
-    save_population_csv(population, pop_path, names=names)
-    written["population"] = [pop_path]
-    return written
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:

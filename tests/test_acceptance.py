@@ -19,7 +19,6 @@ from rarerisk.boosting import (
     ConfusionTable,
     fit_boost,
     in_sample_importance,
-    predict_risk,
 )
 from rarerisk.clustering import (
     DissimilarityMatrix,
@@ -165,7 +164,7 @@ def test_c02_low_base_rate_contrast():
             seed=3000 + seed,
         )
         model = fit_boost(train, cfg)
-        frac_high = float(np.mean(predict_risk(model, test.X) > 0.5))
+        frac_high = float(np.mean(model.predict(test.X) > 0.5))
         if logistic_max < 0.5 and frac_high >= 0.10:
             passes += 1
     elapsed = time.perf_counter() - t_start

@@ -11,7 +11,6 @@ from rarerisk.boosting import (
     ConfusionTable,
     confusion,
     cv_deviance_curve,
-    cv_select_trees,
     fit_boost,
     fit_boost_cv,
     in_sample_importance,
@@ -19,7 +18,6 @@ from rarerisk.boosting import (
     model_from_dict,
     model_to_dict,
     partial_dependence,
-    predict_risk,
     save_model,
     weighted_deviance,
 )
@@ -100,7 +98,7 @@ class TestFit:
         y = ds.y.astype(float)
         w = np.where(y == 1, 10.0, 1.0)
         expected = float(np.dot(w, y) / w.sum())
-        probs = predict_risk(m, ds.X)
+        probs = m.predict(ds.X)
         assert np.allclose(probs, expected, atol=1e-12)
 
     def test_unweighted_intercept_is_base_rate_logit(self):
@@ -217,7 +215,7 @@ class TestStumpOracle:
 class TestCv:
     def test_single_candidate(self):
         ds = synth(n=300, seed=2)
-        assert cv_select_trees(ds, small_config(max_trees=1)) == 1
+        assert fit_boost_cv(ds, small_config(max_trees=1)).n_trees_used == 1
 
     def test_planted_signal_selects_many_and_beats_intercept(self):
         ds = synth(n=900, p=6, seed=8, base_rate=0.2)
@@ -284,7 +282,7 @@ class TestPredict:
         tree = make_stump(0, logit(0.3) / shrink, logit(0.7) / shrink, p=2)
         m = make_model([tree], p=2, shrinkage=shrink)
         X = np.array([[0, 1], [1, 0]], np.uint8)
-        probs = predict_risk(m, X)
+        probs = m.predict(X)
         assert abs(probs[0] - 0.3) < 1e-12
         assert abs(probs[1] - 0.7) < 1e-12
 
@@ -292,7 +290,7 @@ class TestPredict:
         ds = synth(n=300, seed=12)
         m = fit_boost(ds, small_config(max_trees=10))
         X = np.tile(ds.X[:1], (5, 1))
-        probs = predict_risk(m, X)
+        probs = m.predict(X)
         assert np.all(probs == probs[0])
 
     def test_unused_predictor_ignored(self):
@@ -300,12 +298,12 @@ class TestPredict:
         m = make_model([tree], p=3)
         X0 = np.array([[1, 0, 0]], np.uint8)
         X1 = np.array([[1, 1, 1]], np.uint8)
-        assert predict_risk(m, X0) == predict_risk(m, X1)
+        assert m.predict(X0) == m.predict(X1)
 
     def test_dimension_mismatch(self):
         m = make_model([make_stump(0, 0.0, 1.0, p=2)], p=2)
         with pytest.raises(FitError):
-            predict_risk(m, np.zeros((2, 3), np.uint8))
+            m.predict(np.zeros((2, 3), np.uint8))
 
 
 class TestConfusion:
@@ -424,8 +422,8 @@ class TestSerialization:
             assert np.array_equal(t1.right, t2.right)
             assert np.array_equal(t1.value, t2.value)
             assert np.array_equal(t1.deviance_reduction, t2.deviance_reduction)
-        probs_before = predict_risk(m, ds.X)
-        probs_after = predict_risk(back, ds.X)
+        probs_before = m.predict(ds.X)
+        probs_after = back.predict(ds.X)
         assert np.array_equal(probs_before, probs_after)
 
     def test_rejects_wrong_format(self):
@@ -436,7 +434,7 @@ class TestSerialization:
         ds = synth(n=300, seed=17)
         m = fit_boost(ds, small_config(max_trees=5))
         again = model_from_dict(model_to_dict(m))
-        assert np.array_equal(predict_risk(again, ds.X), predict_risk(m, ds.X))
+        assert np.array_equal(again.predict(ds.X), m.predict(ds.X))
 
 
 class TestWeightedDeviance:

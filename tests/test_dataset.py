@@ -251,7 +251,7 @@ class TestSynthesize:
         # With all effects zero, any model fit on train should score test
         # rows no better than chance: median AUC across seeds in
         # [0.45, 0.55], with AUC computed by the rank statistic.
-        from rarerisk.boosting import BoostConfig, fit_boost, predict_risk
+        from rarerisk.boosting import BoostConfig, fit_boost
 
         def rank_auc(scores, labels):
             order = np.argsort(scores, kind="stable")
@@ -289,7 +289,7 @@ class TestSynthesize:
                 seed=700 + seed,
             )
             model = fit_boost(train, cfg)
-            scores = predict_risk(model, test.X)
+            scores = model.predict(test.X)
             aucs.append(rank_auc(scores, test.y.astype(int)))
         assert 0.45 <= float(np.median(aucs)) <= 0.55
 

@@ -210,14 +210,15 @@ class TestRunPipeline:
         assert stability.splitlines()[0].startswith("predictor,mean_commonality")
 
 
-class TestCli:
-    def write_config(self, tmp_path, doc=None):
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(doc or MINIMAL), encoding="utf-8")
-        return path
+def write_config(tmp_path, doc=None):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc or MINIMAL), encoding="utf-8")
+    return path
 
+
+class TestCli:
     def test_pipeline_command(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         code = main(
             ["pipeline", "--config", str(path), "--output-dir", str(tmp_path / "o")]
         )
@@ -236,18 +237,18 @@ class TestCli:
     def test_invalid_nested_value_exits_1(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["boost"]["shrinkage"] = -0.5
-        path = self.write_config(tmp_path, doc)
+        path = write_config(tmp_path, doc)
         assert main(["pipeline", "--config", str(path)]) == 1
 
     def test_stage_failure_exits_2(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["split"]["n_train"] = 600
         doc["output_dir"] = str(tmp_path / "fail")
-        path = self.write_config(tmp_path, doc)
+        path = write_config(tmp_path, doc)
         assert main(["pipeline", "--config", str(path)]) == 2
 
     def test_set_override(self, tmp_path):
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         out = tmp_path / "ov"
         code = main(
             [
@@ -264,8 +265,8 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["ga"]["generations"] == 3
 
-    def test_stagewise_commands_round_trip(self, tmp_path, capsys):
-        config = self.write_config(tmp_path)
+    def test_stagewise_commands_round_trip(self, tmp_path, capsys, completed):
+        config = write_config(tmp_path)
         data_csv = tmp_path / "data.csv"
         assert main(["synth", "--config", str(config), "--out", str(data_csv)]) == 0
         assert main(
@@ -342,12 +343,26 @@ class TestCli:
                 "3",
             ]
         ) == 0
-        assert (tmp_path / "dendro.svg").exists()
-        assert (tmp_path / "importance.csv").exists()
-        assert (tmp_path / "trace.csv").exists()
+        # The stagewise chain writes the same bytes as the pipeline.
+        _, cfg, _ = completed
+        same_as_pipeline = {
+            "model.json": "model.json",
+            "pop.csv": "population.csv",
+            "trace.csv": "ga_trace.csv",
+            "trace.json": "ga_trace.json",
+            "importance.csv": "importance.csv",
+            "importance.json": "importance.json",
+            "dendro.newick": "dendrogram.newick",
+            "dendro.svg": "dendrogram.svg",
+            "logistic.json": "logistic_summary.json",
+        }
+        for cli_name, run_name in same_as_pipeline.items():
+            assert (tmp_path / cli_name).read_bytes() == (
+                cfg.output_dir / run_name
+            ).read_bytes(), cli_name
 
     def test_report_verifies_run(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
+        path = write_config(tmp_path)
         out = tmp_path / "rep"
         assert main(
             ["pipeline", "--config", str(path), "--output-dir", str(out)]
@@ -358,3 +373,83 @@ class TestCli:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["pipeline", "--nonsense"]) == 1
+
+
+def _bad_yaml(tmp):
+    path = tmp / "bad.yaml"
+    path.write_text("boost: [1, 2\n", encoding="utf-8")
+    return ["pipeline", "--config", str(path)]
+
+
+def _bad_set_value(tmp):
+    path = write_config(tmp)
+    return ["pipeline", "--config", str(path), "--set", "ga.seed=[1"]
+
+
+def _list_root(tmp):
+    path = tmp / "list.yaml"
+    path.write_text("- 1\n- 2\n", encoding="utf-8")
+    return ["pipeline", "--config", str(path), "--set", "ga.seed=1",
+            "--output-dir", str(tmp / "o")]
+
+
+def _out_is_directory(tmp):
+    path = write_config(tmp)
+    return ["synth", "--config", str(path), "--out", str(tmp)]
+
+
+def _truncated_model(tmp):
+    path = write_config(tmp)
+    model = tmp / "model.json"
+    model.write_text('{"format": "rarerisk.boost_model", "trees": [', "utf-8")
+    return ["evolve", "--config", str(path), "--model", str(model),
+            "--population-out", str(tmp / "pop.csv"),
+            "--trace-out", str(tmp / "trace")]
+
+
+def _model_missing_keys(tmp):
+    path = write_config(tmp)
+    model = tmp / "model.json"
+    model.write_text('{"format": "rarerisk.boost_model", "version": 1}', "utf-8")
+    return ["evolve", "--config", str(path), "--model", str(model),
+            "--population-out", str(tmp / "pop.csv"),
+            "--trace-out", str(tmp / "trace")]
+
+
+def _manifest_not_json(tmp):
+    (tmp / "manifest.json").write_text("{not json", encoding="utf-8")
+    return ["report", "--run-dir", str(tmp)]
+
+
+def _manifest_missing_keys(tmp):
+    (tmp / "manifest.json").write_text('{"artifacts": [{}]}', encoding="utf-8")
+    return ["report", "--run-dir", str(tmp)]
+
+
+def _population_not_numeric(tmp):
+    pop = tmp / "pop.csv"
+    pop.write_text("x1,x2,fitness\n1,0,0.5\n1,yes,0.25\n", encoding="utf-8")
+    return ["cluster", "--population", str(pop), "--svg-out", str(tmp / "d.svg")]
+
+
+@pytest.mark.parametrize(
+    "make_argv, code",
+    [
+        (_bad_yaml, 1),
+        (_bad_set_value, 1),
+        (_list_root, 1),
+        (_out_is_directory, 2),
+        (_truncated_model, 2),
+        (_model_missing_keys, 2),
+        (_manifest_not_json, 1),
+        (_manifest_missing_keys, 1),
+        (_population_not_numeric, 2),
+    ],
+)
+def test_corrupt_input_exits_with_documented_code(
+    make_argv, code, tmp_path, capsys
+):
+    assert main(make_argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error: " if code == 1 else "error: ")

@@ -9,10 +9,9 @@ from rarerisk.analysis import commonality_importance, reverse_coding_importance
 from rarerisk.boosting import ConfusionTable
 from rarerisk.clustering import DissimilarityMatrix, agnes_average_linkage
 from rarerisk.errors import RenderError
-from rarerisk.genetic import GaConfig, Population, evolve, load_population_csv
+from rarerisk.genetic import GaConfig, Population, evolve
 from rarerisk.render import render_dendrogram, render_histogram
 from rarerisk.reports import (
-    emit_reports,
     write_confusion_table,
     write_ga_trace,
     write_importance_table,
@@ -227,33 +226,3 @@ class TestGaTraceReport:
         ]
         assert len(rows) == 7  # header + gen 0 + 5 steps
         assert float(rows[1][1]) == trace.best[0]
-
-
-class TestEmitReports:
-    def test_full_set_and_population_roundtrip(self, tmp_path):
-        trace = evolve(
-            lambda c: float(np.mean(c)),
-            p=3,
-            config=GaConfig(pop_size=16, generations=4, seed=5),
-        )
-        common = commonality_importance(trace.final)
-        model = make_model([make_stump(0, 0.0, 1.0, 3)], p=3)
-        table = ConfusionTable(tn=5, fp=1, fn=1, tp=3)
-        written = emit_reports(
-            tmp_path / "out",
-            ("a", "b", "c"),
-            table,
-            np.array([100.0, 0.0, 0.0]),
-            common,
-            None,
-            trace,
-            trace.final,
-        )
-        for kind in ("confusion_table", "importance_table", "ga_trace", "population"):
-            assert kind in written
-            for path in written[kind]:
-                assert path.exists()
-        back, names = load_population_csv(tmp_path / "out" / "population.csv")
-        assert names == ["a", "b", "c"]
-        assert np.array_equal(back.members, trace.final.members)
-        assert np.array_equal(back.fitness, trace.final.fitness)
