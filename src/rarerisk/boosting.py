@@ -92,7 +92,8 @@ class RegressionTree:
 
     feature[k] is the split predictor of node k, or -1 for a leaf. A row
     goes left when the split predictor is 0 and right when it is 1.
-    value[k] holds the (unshrunken) log-odds increment of leaf k.
+    value[k] holds the (unshrunken) log-odds increment of leaf k; fitted
+    trees hold 0.0 at internal nodes.
     deviance_reduction[j] is the total exact deviance reduction credited
     to splits on predictor j while this tree was grown.
     """
@@ -113,10 +114,28 @@ class RegressionTree:
             "deviance_reduction",
             np.asarray(self.deviance_reduction, np.float64),
         )
+        n = self.n_nodes
+        arrays = (self.feature, self.left, self.right, self.value)
+        if n == 0 or {a.shape for a in arrays} != {(n,)}:
+            raise FitError("tree arrays must be 1-d, non-empty and of equal length")
+        # Leaves have no children, an internal node k has both in (k, n),
+        # and no node is claimed twice: the nodes reachable from the root
+        # then form a tree, so apply() always terminates.
         leaves = self.feature < 0
-        if not np.all(np.isfinite(self.value[leaves])):
-            raise FitError("leaf values must be finite")
-        if np.any(self.deviance_reduction < 0):
+        k = np.arange(n, dtype=np.int32)
+        lt, rt = self.left, self.right
+        leaf_ok = (lt == -1) & (rt == -1)
+        kids_ok = (lt > k) & (rt > k) & (lt < n) & (rt < n)
+        if (
+            self.feature.min() < -1
+            or self.feature.max() >= len(self.deviance_reduction)
+            or not np.where(leaves, leaf_ok, kids_ok).all()
+            or np.bincount(np.concatenate([lt, rt]) + 1, minlength=n + 1)[1:].max() > 1
+        ):
+            raise FitError("tree arrays do not form a valid binary tree")
+        if not np.isfinite(self.value).all():
+            raise FitError("tree values must be finite")
+        if not np.all(self.deviance_reduction >= 0):
             raise FitError("deviance reductions must be non-negative")
 
     @property
@@ -143,7 +162,10 @@ class RegressionTree:
 
 @dataclass(frozen=True)
 class BoostModel:
-    """Additive log-odds ensemble: intercept + shrinkage * sum of trees."""
+    """Additive log-odds ensemble: intercept + shrinkage * sum of trees.
+
+    predictor_names, when known, name the columns of X in order.
+    """
 
     intercept: float
     trees: tuple[RegressionTree, ...]
@@ -153,9 +175,15 @@ class BoostModel:
     n_predictors: int
     train_deviance: np.ndarray = field(default_factory=lambda: np.empty(0))
     cv_curve: np.ndarray | None = None
+    predictor_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
+        if self.predictor_names is not None:
+            names = tuple(str(n) for n in self.predictor_names)
+            object.__setattr__(self, "predictor_names", names)
+            if len(names) != self.n_predictors:
+                raise FitError("predictor_names length must equal n_predictors")
         if self.n_predictors < 1:
             raise FitError("n_predictors must be at least 1")
         if not 0 <= self.n_trees_used <= len(self.trees):
@@ -205,34 +233,66 @@ def _deviance_sum(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
     return float(2.0 * np.sum(w * _loss_terms(y, F)))
 
 
-def _leaf_optimum(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
-    """Exact minimizer of the leaf's weighted loss over a clipped interval.
+def _segment_optima(
+    seg: np.ndarray, n_seg: int, y: np.ndarray, w: np.ndarray, F: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact leaf optima of many leaf problems at once.
 
-    Damped Newton iteration; the returned gamma never increases the leaf
-    loss relative to gamma = 0.
+    seg is an (m, k) integer matrix: in column c, row i belongs to problem
+    seg[i, c], so each column partitions the m rows among some of the
+    n_seg problems. y, w and F have length m. Returns per-problem
+    (gamma, deviance): the minimizer of the problem's weighted loss over
+    [-GAMMA_CLIP, GAMMA_CLIP] by damped Newton, and the problem's total
+    deviance there. A gamma never increases its problem's loss relative to
+    gamma = 0, and a problem without rows gets gamma = 0.
     """
-    gamma = 0.0
+    flat = seg.ravel()
+
+    def sums(v: np.ndarray) -> np.ndarray:
+        return np.bincount(flat, np.broadcast_to(v, seg.shape).ravel(), n_seg)
+
+    # sigma(F+gamma) is formed as E*t/(1+E*t) with E = exp(F) cached, so
+    # the iterations are exp-free in the data dimension. Clipping F only
+    # matters past sigmoid saturation.
+    Fc = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None]
+    E = np.exp(Fc)
+    wcol = w[:, None]
+    wy = sums(wcol * y[:, None])
+
+    def deviance(gamma: np.ndarray) -> np.ndarray:
+        # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
+        S = E * np.exp(gamma)[seg]
+        return 2.0 * sums(wcol * (np.log1p(S) - y[:, None] * (Fc + gamma[seg])))
+
+    gamma = np.zeros(n_seg)
+    done = np.zeros(n_seg, dtype=bool)
     for _ in range(80):
-        p = expit(F + gamma)
-        g = float(np.sum(w * (y - p)))
-        h = float(np.sum(w * p * (1.0 - p)))
-        if h <= 1e-300:
-            break
-        step = min(max(g / h, -_STEP_CLIP), _STEP_CLIP)
-        new = min(max(gamma + step, -GAMMA_CLIP), GAMMA_CLIP)
-        if abs(new - gamma) < 1e-12:
-            gamma = new
-            break
+        S = E * np.exp(gamma)[seg]
+        P = S / (1.0 + S)
+        WP = wcol * P
+        g = wy - sums(WP)
+        h = sums(WP * (1.0 - P))
+        step = np.clip(g / np.maximum(h, 1e-300), -_STEP_CLIP, _STEP_CLIP)
+        # A problem without curvature (no rows) stays where it is.
+        live = ~done & (h > 1e-300)
+        new = np.where(live, np.clip(gamma + step, -GAMMA_CLIP, GAMMA_CLIP), gamma)
+        done |= np.abs(new - gamma) < 1e-12
         gamma = new
-    if gamma != 0.0:
-        base = _deviance_sum(y, w, F)
-        for _ in range(60):
-            if _deviance_sum(y, w, F + gamma) <= base:
-                break
-            gamma *= 0.5
-        else:
-            gamma = 0.0
-    return gamma
+        if done.all():
+            break
+
+    # Safeguard: halve any gamma that loses to gamma = 0; zero it after 60.
+    base = deviance(np.zeros(n_seg))
+    dev = deviance(gamma)
+    for _ in range(60):
+        worse = dev > base
+        if not worse.any():
+            break
+        gamma = np.where(worse, 0.5 * gamma, gamma)
+        dev = deviance(gamma)
+    worse = dev > base
+    gamma[worse] = 0.0
+    return gamma, np.where(worse, base, dev)
 
 
 def _weights(y: np.ndarray, cost_ratio: float) -> np.ndarray:
@@ -249,81 +309,29 @@ def _candidate_split(
     ws: np.ndarray,
     Fs: np.ndarray,
     min_node: int,
-):
-    """Evaluate every predictor as a split of this node.
+) -> np.ndarray:
+    """Exact deviance reduction of splitting this node on each predictor.
 
-    Returns (gains, gamma0, gamma1, valid): per-predictor exact deviance
-    reduction relative to the node's own optimal constant, the optimal
-    log-odds increments of both children, and a mask of splits whose
-    children both meet the minimum node size. Invalid candidates get a
-    gain of -inf.
+    Each child and the node itself are evaluated at their own optimal
+    log-odds increment. Candidates whose children do not both meet the
+    minimum node size get a gain of -inf.
     """
     m, p = Xs.shape
     n1 = Xs.sum(axis=0, dtype=np.int64)
     valid = (n1 >= min_node) & (m - n1 >= min_node)
-    if not valid.any():
-        return None
-    Xv = Xs[:, valid].astype(np.float64)
-    wcol = ws[:, None]
-
-    # sigma(F+gamma) is formed as E*t/(1+E*t) with E = exp(F) cached, so the
-    # per-candidate Newton iterations below are exp-free in the data
-    # dimension. Clipping F only matters past sigmoid saturation.
-    Fc = np.clip(Fs, -_MARGIN_CLIP, _MARGIN_CLIP)
-    E = np.exp(Fc)
-    p0 = E / (1.0 + E)
-    wy = ws * ys
-    wp = ws * p0
-    wh = wp * (1.0 - p0)
-    wy1 = wy @ Xv
-    wy0 = wy.sum() - wy1
-    wp1 = wp @ Xv
-    wp0 = wp.sum() - wp1
-    h1 = wh @ Xv
-    h0 = wh.sum() - h1
-
-    # Warm start from one aggregate Newton step, then damped Newton on all
-    # (candidate, side) pairs at once until the increments converge.
-    g0 = np.clip((wy0 - wp0) / np.maximum(h0, 1e-300), -_STEP_CLIP, _STEP_CLIP)
-    g1 = np.clip((wy1 - wp1) / np.maximum(h1, 1e-300), -_STEP_CLIP, _STEP_CLIP)
-    Ecol = E[:, None]
-    for _ in range(40):
-        T = np.exp(g0)[None, :] + (np.exp(g1) - np.exp(g0))[None, :] * Xv
-        S = Ecol * T
-        P = S / (1.0 + S)
-        WP = wcol * P
-        wp1 = np.einsum("ij,ij->j", WP, Xv)
-        wp0 = WP.sum(axis=0) - wp1
-        H = WP * (1.0 - P)
-        h1 = np.einsum("ij,ij->j", H, Xv)
-        h0 = H.sum(axis=0) - h1
-        step0 = np.clip((wy0 - wp0) / np.maximum(h0, 1e-300), -_STEP_CLIP, _STEP_CLIP)
-        step1 = np.clip((wy1 - wp1) / np.maximum(h1, 1e-300), -_STEP_CLIP, _STEP_CLIP)
-        g0 = np.clip(g0 + step0, -GAMMA_CLIP, GAMMA_CLIP)
-        g1 = np.clip(g1 + step1, -GAMMA_CLIP, GAMMA_CLIP)
-        if max(np.abs(step0).max(), np.abs(step1).max()) < 1e-9:
-            break
-
-    # Exact post-split deviance at the optima. With S = exp(Fc + gamma),
-    # the per-point loss log(1+e^z) - y*z equals log1p(S) - y*(Fc+gamma).
-    Z = (Fc[:, None] + g0[None, :]) + (g1 - g0)[None, :] * Xv
-    S = Ecol * (np.exp(g0)[None, :] + (np.exp(g1) - np.exp(g0))[None, :] * Xv)
-    L = wcol * (np.log1p(S) - ys[:, None] * Z)
-    dev1 = 2.0 * np.einsum("ij,ij->j", L, Xv)
-    dev0 = 2.0 * L.sum(axis=0) - dev1
-
-    # Parent-as-leaf baseline, same stable formulation for consistency.
-    parent_gamma = _leaf_optimum(ys, ws, Fs)
-    zp = Fc + parent_gamma
-    parent_dev = 2.0 * float(np.sum(ws * (np.log1p(E * math.exp(parent_gamma)) - ys * zp)))
-
     gains = np.full(p, -np.inf)
-    gains[valid] = parent_dev - (dev0 + dev1)
-    gamma0 = np.zeros(p)
-    gamma1 = np.zeros(p)
-    gamma0[valid] = g0
-    gamma1[valid] = g1
-    return gains, gamma0, gamma1, valid
+    nv = int(valid.sum())
+    if nv == 0:
+        return gains
+    # Problem 2k + x is side x of the k-th valid candidate; problem 2 nv is
+    # the node as one leaf.
+    seg = np.empty((m, nv + 1), dtype=np.intp)
+    seg[:, :nv] = Xs[:, valid] + 2 * np.arange(nv)
+    seg[:, nv] = 2 * nv
+    _, dev = _segment_optima(seg, 2 * nv + 1, ys, ws, Fs)
+    sides = dev[:-1].reshape(nv, 2)
+    gains[valid] = dev[-1] - (sides[:, 0] + sides[:, 1])
+    return gains
 
 
 def _grow_tree(
@@ -333,52 +341,38 @@ def _grow_tree(
     Fb: np.ndarray,
     config: BoostConfig,
     p: int,
-):
-    """Grow one tree on the bag; leaf values are provisional (bag optima)."""
-    feature: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+) -> RegressionTree:
+    """Grow one tree's splits on the bag; every value is 0 until refit.
+
+    A node splits on the lowest-index predictor whose gain is at least
+    top - 1e-9 * max(1, |top|), top being the best gain, so float noise
+    cannot decide between tied predictors; it stays a leaf unless that
+    gain exceeds 1e-12 (a node without valid candidates has top = -inf).
+    """
+    feature, left, right = [-1], [-1], [-1]
     reduction = np.zeros(p)
-
-    def new_node() -> int:
-        feature.append(-1)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
     # (node id, row indices into the bag, depth)
-    root = new_node()
-    stack = [(root, np.arange(len(yb)), 0)]
+    stack = [(0, np.arange(len(yb)), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        ys, ws, Fs = yb[rows], wb[rows], Fb[rows]
-        split = None
-        if depth < config.interaction_depth and len(rows) >= 2 * config.min_node:
-            split = _candidate_split(Xb[rows], ys, ws, Fs, config.min_node)
-        if split is not None:
-            gains, g0, g1, _ = split
-            j = int(np.argmax(gains))
-            if gains[j] > 1e-12:
-                reduction[j] += gains[j]
-                feature[node] = j
-                mask = Xb[rows, j] == 1
-                lid, rid = new_node(), new_node()
-                left[node], right[node] = lid, rid
-                value[lid], value[rid] = float(g0[j]), float(g1[j])
-                stack.append((lid, rows[~mask], depth + 1))
-                stack.append((rid, rows[mask], depth + 1))
-                continue
-        value[node] = _leaf_optimum(ys, ws, Fs)
+        if depth >= config.interaction_depth or len(rows) < 2 * config.min_node:
+            continue
+        gains = _candidate_split(Xb[rows], yb[rows], wb[rows], Fb[rows], config.min_node)
+        top = gains.max()
+        j = int(np.argmax(gains >= top - 1e-9 * max(1.0, abs(top))))
+        if not gains[j] > 1e-12:
+            continue
+        reduction[j] += gains[j]
+        feature[node] = j
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        left += [-1, -1]
+        right += [-1, -1]
+        mask = Xb[rows, j] == 1
+        stack.append((left[node], rows[~mask], depth + 1))
+        stack.append((right[node], rows[mask], depth + 1))
 
-    return RegressionTree(
-        np.array(feature, np.int32),
-        np.array(left, np.int32),
-        np.array(right, np.int32),
-        np.array(value, np.float64),
-        reduction,
-    )
+    return RegressionTree(feature, left, right, np.zeros(len(feature)), reduction)
 
 
 def _refit_leaves(
@@ -391,12 +385,8 @@ def _refit_leaves(
     """Refit every leaf value as the exact optimum over the full training
     rows it receives. Returns the updated tree and each row's leaf value."""
     idx = tree.leaf_index(X)
-    values = tree.value.copy()
-    for leaf in np.unique(idx):
-        rows = idx == leaf
-        values[leaf] = _leaf_optimum(y[rows], w[rows], F[rows])
-    refit = dataclasses.replace(tree, value=values)
-    return refit, values[idx]
+    values, _ = _segment_optima(idx[:, None], tree.n_nodes, y, w, F)
+    return dataclasses.replace(tree, value=values), values[idx]
 
 
 def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
@@ -440,6 +430,7 @@ def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
         config=config,
         n_predictors=train.p,
         train_deviance=train_dev,
+        predictor_names=train.schema.names,
     )
 
 
@@ -647,6 +638,9 @@ def model_to_dict(model: BoostModel) -> dict:
         "config": dataclasses.asdict(model.config),
         "train_deviance": model.train_deviance.tolist(),
         "cv_curve": None if model.cv_curve is None else model.cv_curve.tolist(),
+        "predictor_names": (
+            None if model.predictor_names is None else list(model.predictor_names)
+        ),
         "trees": [
             {
                 "feature": t.feature.tolist(),
@@ -687,6 +681,7 @@ def model_from_dict(data: dict) -> BoostModel:
         n_predictors=int(data["n_predictors"]),
         train_deviance=np.array(data["train_deviance"], np.float64),
         cv_curve=None if cv is None else np.array(cv, np.float64),
+        predictor_names=data.get("predictor_names"),
     )
 
 
@@ -702,5 +697,5 @@ def load_model(path: str | Path) -> BoostModel:
     with open(path, encoding="utf-8") as fh:
         try:
             return model_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FitError(f"malformed model file {path}: {exc!r}") from exc

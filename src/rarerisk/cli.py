@@ -152,7 +152,9 @@ def _cmd_evolve(args) -> int:
     config = _load_config(args)
     model = boosting.load_model(args.model)
     trace = pipeline_mod.search(model, config.ga)
-    genetic.save_population_csv(trace.final, args.population_out)
+    genetic.save_population_csv(
+        trace.final, args.population_out, names=model.predictor_names
+    )
     reports.write_ga_trace(trace, args.trace_out)
     best = trace.best[-1]
     print(f"final best fitness: {best:.4f}; population -> {args.population_out}")

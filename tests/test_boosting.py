@@ -7,8 +7,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 
 from rarerisk.boosting import (
+    GAMMA_CLIP,
     BoostConfig,
     ConfusionTable,
+    RegressionTree,
     confusion,
     cv_deviance_curve,
     fit_boost,
@@ -210,6 +212,94 @@ class TestStumpOracle:
             assert abs(leaf0 - best[1]) < 1e-6
             assert abs(leaf1 - best[2]) < 1e-6
         assert checked >= 100
+
+
+class TestTieRule:
+    def test_exact_tie_picks_lower_index(self):
+        # Column 1 is column 0 with rows permuted within each class, so both
+        # candidates have the same class counts on each side and, in tree 0
+        # where F is constant, mathematically equal gains. Float noise in
+        # the sums must not decide between them.
+        cfg = BoostConfig(
+            cost_ratio=3.0, interaction_depth=1, shrinkage=1.0,
+            bag_fraction=1.0, min_node=1, max_trees=1, cv_folds=2, seed=0,
+        )
+        split = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = (rng.random(60) < 0.3).astype(np.uint8)
+            x0 = (rng.random(60) < 0.5).astype(np.uint8)
+            x1 = x0.copy()
+            for c in (0, 1):
+                rows = np.flatnonzero(y == c)
+                x1[rows] = x0[rng.permutation(rows)]
+            tree = fit_boost(binary_dataset(np.column_stack([x0, x1]), y), cfg).trees[0]
+            assert tree.feature[0] in (-1, 0), f"seed {seed}"
+            split += tree.feature[0] == 0
+        assert split >= 10
+
+
+class TestLeafRefit:
+    def test_depth2_leaves_match_oracle(self):
+        # Rows with x0 = x1 = 1 are all negative: that leaf's optimum is the
+        # clip bound. Bagging half the rows checks that leaves are refit on
+        # all training rows, not just the bag the tree was grown on.
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 2, size=(400, 3), dtype=np.uint8)
+        y = (rng.random(400) < 0.5).astype(np.uint8)
+        y[(X[:, 0] == 1) & (X[:, 1] == 1)] = 0
+        cfg = small_config(
+            interaction_depth=2, max_trees=1, shrinkage=1.0, bag_fraction=0.5,
+            min_node=5, cost_ratio=3.0,
+        )
+        m = fit_boost(binary_dataset(X, y), cfg)
+        tree = m.trees[0]
+        assert tree.n_nodes == 7
+        assert np.all(tree.value[tree.feature >= 0] == 0.0)
+        idx = tree.leaf_index(X)
+        yf = y.astype(float)
+        w = np.where(y == 1, 3.0, 1.0)
+        F = np.full(len(y), m.intercept)
+        for leaf in np.unique(idx):
+            rows = idx == leaf
+            expected, _ = oracle_leaf(yf[rows], w[rows], F[rows])
+            assert abs(tree.value[leaf] - expected) < 1e-6, f"leaf {leaf}"
+        assert -GAMMA_CLIP in tree.value[np.unique(idx)]
+
+
+class TestTopology:
+    VALID = dict(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(feature=[0, -1]),
+            dict(feature=[], left=[], right=[]),
+            dict(feature=[2, -1, -1]),
+            dict(feature=[-2, -1, -1]),
+            dict(feature=[0, 0, -1], left=[1, 0, -1], right=[2, 2, -1]),
+            dict(left=[1, -1, 1]),
+            dict(right=[1, -1, -1]),
+            dict(right=[3, -1, -1]),
+            dict(feature=[0, 1, -1, -1], left=[1, 2, -1, -1], right=[2, 3, -1, -1]),
+        ],
+        ids=[
+            "unequal-lengths", "empty", "feature-too-large", "feature-below-leaf",
+            "cycle", "leaf-with-child", "same-child-twice", "child-out-of-range",
+            "two-parents",
+        ],
+    )
+    def test_malformed_tree_rejected(self, change):
+        arrays = {**self.VALID, **change}
+        n = len(arrays["feature"])
+        with pytest.raises(FitError):
+            RegressionTree(value=np.zeros(n), deviance_reduction=np.zeros(2), **arrays)
+
+    def test_non_finite_numbers_rejected(self):
+        with pytest.raises(FitError):
+            RegressionTree(value=[0.0, np.inf, 0.0], deviance_reduction=np.zeros(2), **self.VALID)
+        with pytest.raises(FitError):
+            RegressionTree(value=np.zeros(3), deviance_reduction=[np.nan, 0.0], **self.VALID)
 
 
 class TestCv:
@@ -429,6 +519,16 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(FitError):
             model_from_dict({"format": "something-else"})
+
+    def test_predictor_names_round_trip(self):
+        base = synth(n=300, p=3, seed=19)
+        ds = binary_dataset(base.X, base.y, names=("age", "smoker", "male"))
+        m = fit_boost(ds, small_config(max_trees=2))
+        assert m.predictor_names == ("age", "smoker", "male")
+        doc = model_to_dict(m)
+        assert model_from_dict(doc).predictor_names == m.predictor_names
+        del doc["predictor_names"]
+        assert model_from_dict(doc).predictor_names is None
 
     def test_dict_round_trip(self):
         ds = synth(n=300, seed=17)

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -217,6 +218,26 @@ def write_config(tmp_path, doc=None):
 
 
 class TestCli:
+    def test_named_csv_names_survive_train_and_evolve(self, tmp_path):
+        names = ["age", "smoker", "male", "urban"]
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 2, size=(300, 4))
+        y = (rng.random(300) < 0.1 + 0.3 * X[:, 0]).astype(int)
+        data_csv = tmp_path / "named.csv"
+        np.savetxt(data_csv, np.column_stack([X, y]), fmt="%d", delimiter=",",
+                   header=",".join(names + ["case"]), comments="")
+        config = write_config(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", str(config), "--train", str(data_csv),
+                     "--out", str(model)]) == 0
+        assert json.loads(model.read_text("utf-8"))["predictor_names"] == names
+        pop = tmp_path / "pop.csv"
+        assert main(["evolve", "--config", str(config), "--model", str(model),
+                     "--population-out", str(pop),
+                     "--trace-out", str(tmp_path / "trace")]) == 0
+        header = pop.read_text("utf-8").splitlines()[0]
+        assert header.split(",") == names + ["fitness"]
+
     def test_pipeline_command(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = main(
@@ -416,6 +437,22 @@ def _model_missing_keys(tmp):
             "--trace-out", str(tmp / "trace")]
 
 
+def _cyclic_model(tmp):
+    # Node 1 is its own child: walking this tree would never reach a leaf.
+    path = write_config(tmp)
+    model = tmp / "model.json"
+    tree = {"feature": [0, 0], "left": [1, 1], "right": [1, 1],
+            "value": [0.0, 0.0], "deviance_reduction": [0.0] * 8}
+    doc = {"format": "rarerisk.boost_model", "version": 1, "intercept": 0.0,
+           "shrinkage": 0.1, "n_trees_used": 1, "n_predictors": 8,
+           "config": {}, "train_deviance": [0.5], "cv_curve": None,
+           "trees": [tree]}
+    model.write_text(json.dumps(doc), "utf-8")
+    return ["evolve", "--config", str(path), "--model", str(model),
+            "--population-out", str(tmp / "pop.csv"),
+            "--trace-out", str(tmp / "trace")]
+
+
 def _manifest_not_json(tmp):
     (tmp / "manifest.json").write_text("{not json", encoding="utf-8")
     return ["report", "--run-dir", str(tmp)]
@@ -441,6 +478,7 @@ def _population_not_numeric(tmp):
         (_out_is_directory, 2),
         (_truncated_model, 2),
         (_model_missing_keys, 2),
+        (_cyclic_model, 2),
         (_manifest_not_json, 1),
         (_manifest_missing_keys, 1),
         (_population_not_numeric, 2),
