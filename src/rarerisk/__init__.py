@@ -25,7 +25,6 @@ from .boosting import (
     fit_boost_cv,
     in_sample_importance,
     load_model,
-    partial_dependence,
     save_model,
 )
 from .clustering import (
@@ -55,7 +54,6 @@ from .genetic import (
     evolve,
     load_population_csv,
     mutate,
-    rank_select,
     save_population_csv,
     single_point_crossover,
 )
@@ -109,9 +107,7 @@ __all__ = [
     "load_population_csv",
     "mutate",
     "nearest_match",
-    "partial_dependence",
     "predict_logistic",
-    "rank_select",
     "reverse_coding_importance",
     "run_pipeline",
     "save_model",

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from ._io import write_artifact
 from .dataset import DataSet
 from .errors import FitError, StratificationError
 
@@ -37,7 +38,6 @@ __all__ = [
     "cv_deviance_curve",
     "confusion",
     "in_sample_importance",
-    "partial_dependence",
     "save_model",
     "load_model",
 ]
@@ -603,23 +603,6 @@ def in_sample_importance(model: BoostModel) -> np.ndarray:
     return 100.0 * total / grand
 
 
-def partial_dependence(
-    model: BoostModel, ds: DataSet, j: int
-) -> tuple[float, float, float]:
-    """Mean predicted risk with predictor j forced off and on.
-
-    Returns (p0, p1, delta) where delta = p1 - p0.
-    """
-    if not 0 <= j < ds.p:
-        raise FitError(f"predictor index {j} out of range for p={ds.p}")
-    X = np.array(ds.X)
-    X[:, j] = 0
-    p0 = float(model.predict(X).mean())
-    X[:, j] = 1
-    p1 = float(model.predict(X).mean())
-    return p0, p1, p1 - p0
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -687,7 +670,7 @@ def model_from_dict(data: dict) -> BoostModel:
 
 def save_model(model: BoostModel, path: str | Path) -> None:
     """Write the model as JSON; floats round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_artifact(path) as fh:
         json.dump(model_to_dict(model), fh)
         fh.write("\n")
 

@@ -201,6 +201,11 @@ def _cmd_report(args) -> int:
     if result["ok"]:
         print("manifest verified: all artifact digests match")
         return 0
+    if result["status"] != "ok":
+        print(
+            f"run failed in stage {result['failed_stage']!r}: {result['error']}",
+            file=sys.stderr,
+        )
     for path in result["missing"]:
         print(f"missing artifact: {path}", file=sys.stderr)
     for path in result["mismatched"]:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
+from ._io import write_artifact
 from .errors import (
     DatasetError,
     EmptyFileError,
@@ -231,8 +232,7 @@ def load_csv(
 
 def write_csv(ds: DataSet, path: str | Path) -> None:
     """Write a dataset as CSV; `load_csv` reproduces it bit-exactly."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_artifact(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.schema.names) + [ds.schema.response_name])
         block = np.column_stack([ds.X, ds.y])

@@ -72,3 +72,7 @@ class StageError(RareRiskError):
 
 class RenderError(RareRiskError):
     """Figure or report rendering failed."""
+
+
+class ArtifactError(RareRiskError):
+    """An artifact file could not be written."""

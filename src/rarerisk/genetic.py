@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._io import write_artifact
 from .errors import GeneticError
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "Population",
     "GaTrace",
     "evolve",
-    "rank_select",
     "single_point_crossover",
     "mutate",
     "save_population_csv",
@@ -131,15 +131,6 @@ def _rank_probabilities(fitness: np.ndarray) -> np.ndarray:
     weights = np.empty(n)
     weights[order] = np.arange(1, n + 1, dtype=np.float64)
     return weights / weights.sum()
-
-
-def rank_select(pop: Population, rng: np.random.Generator) -> np.ndarray:
-    """Draw one member with probability proportional to its linear rank."""
-    if pop.size == 0:
-        raise GeneticError("cannot select from an empty population")
-    probs = _rank_probabilities(pop.fitness)
-    k = int(rng.choice(pop.size, p=probs))
-    return pop.members[k].copy()
 
 
 def single_point_crossover(
@@ -296,7 +287,7 @@ def save_population_csv(
         names = [f"x{i + 1:0{width}d}" for i in range(pop.p)]
     if len(names) != pop.p:
         raise GeneticError(f"need {pop.p} predictor names, got {len(names)}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_artifact(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + ["fitness"])
         for genes, fv in zip(pop.members, pop.fitness):

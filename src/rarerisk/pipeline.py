@@ -26,6 +26,7 @@ import numpy as np
 import yaml
 
 from . import analysis, boosting, clustering, genetic, logistic, render, reports
+from ._io import write_artifact
 from .boosting import BoostConfig
 from .dataset import DataSet, SynthSpec
 from .dataset import base_rate as dataset_base_rate
@@ -394,7 +395,7 @@ class _Run:
 
 def write_json(path: str | Path, doc: dict) -> None:
     """Write a summary document as indented JSON with sorted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_artifact(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=True)
         fh.write("\n")
 
@@ -477,9 +478,8 @@ def cluster_predictors(
     dg = clustering.agnes_average_linkage(d, labels=names)
     render.render_dendrogram(dg, svg_path, title="Clustering of risk predictors")
     if newick_path:
-        Path(newick_path).write_text(
-            clustering.dendrogram_to_newick(dg) + "\n", encoding="utf-8"
-        )
+        with write_artifact(newick_path) as fh:
+            fh.write(clustering.dendrogram_to_newick(dg) + "\n")
     return dg
 
 
@@ -634,7 +634,7 @@ def _write_stability(run: _Run) -> None:
             ]
         )
     path = run.out / "commonality_stability.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_artifact(path) as fh:
         csv.writer(fh).writerows(rows)
     run.add_artifact(path, "commonality_stability")
 
@@ -702,15 +702,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out} is locked by another run "
-            f"(remove {lock} if stale)"
-        ) from None
-
+    _take_lock(lock)
     run = _Run(config)
     try:
         for stage in STAGES:
@@ -737,18 +729,56 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         lock.unlink(missing_ok=True)
 
 
+def _take_lock(lock: Path) -> None:
+    """Create lock holding this process's pid. A lock whose pid no longer
+    runs is taken over once, with a RuntimeWarning."""
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            pid = None if retry else _dead_owner(lock)
+            if pid is None:
+                raise ConfigError(
+                    f"output directory {lock.parent} is locked by another "
+                    f"run (remove {lock} if stale)"
+                ) from None
+            warnings.warn(
+                f"taking over stale lock {lock}: process {pid} no longer runs",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            lock.unlink(missing_ok=True)
+    try:
+        os.write(fd, str(os.getpid()).encode("ascii"))
+    finally:
+        os.close(fd)
+
+
+def _dead_owner(lock: Path) -> int | None:
+    """The pid stored in lock if no process has it, else None. Only POSIX
+    is probed: on Windows, os.kill with signal 0 sends CTRL_C_EVENT."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if os.name == "posix" and pid > 0:  # pids <= 0 name process groups
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):  # e.g. owned by another user
+        pass
+    return None
+
+
 def _write_manifest(run: _Run) -> None:
     run.manifest.created_utc = datetime.now(timezone.utc).isoformat()
-    path = run.out / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(run.manifest.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(run.out / "manifest.json", run.manifest.to_dict())
 
 
 def verify_manifest(run_dir: str | Path) -> dict:
     """Recompute artifact digests and compare with the stored manifest.
 
-    Returns {"ok": bool, "mismatched": [...], "missing": [...]}.
+    Returns {"ok", "status", "failed_stage", "error", "mismatched",
+    "missing"}; ok is False for a failed run even if every digest matches.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -768,7 +798,10 @@ def verify_manifest(run_dir: str | Path) -> dict:
         elif _sha256(path) != digest:
             mismatched.append(rel)
     return {
-        "ok": not mismatched and not missing,
+        "ok": doc.get("status") == "ok" and not mismatched and not missing,
+        "status": doc.get("status"),
+        "failed_stage": doc.get("failed_stage"),
+        "error": doc.get("error"),
         "mismatched": mismatched,
         "missing": missing,
     }

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_artifact
 from .clustering import Dendrogram
 from .errors import RenderError
 
@@ -115,7 +116,8 @@ def render_histogram(
         f"y2=\"{top + plot_h}\" stroke=\"black\"/>"
     )
     out.append("</svg>")
-    _write(path, out)
+    with write_artifact(path) as fh:
+        fh.writelines(f"{line}\n" for line in out)
 
 
 def render_dendrogram(
@@ -199,7 +201,8 @@ def render_dendrogram(
         f"{dg.agglomerative_coefficient:.2f}</text>"
     )
     out.append("</svg>")
-    _write(path, out)
+    with write_artifact(path) as fh:
+        fh.writelines(f"{line}\n" for line in out)
 
 
 def _leaf_order(dg: Dendrogram) -> list[int]:
@@ -224,13 +227,3 @@ def _esc(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
-
-
-def _write(path: str | Path, lines: list[str]) -> None:
-    path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-    except OSError as exc:
-        raise RenderError(f"cannot write figure to {path}: {exc}") from exc

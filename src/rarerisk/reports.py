@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import write_artifact
 from .analysis import CommonalityReport, ReverseCodingReport
 from .boosting import ConfusionTable
 from .errors import RenderError
@@ -36,9 +37,6 @@ def write_confusion_table(table: ConfusionTable, path_base: str | Path) -> list[
     rows, forecasts in columns, row-wise classification errors in the last
     column and column-wise forecasting errors in the last row.
     """
-    base = Path(path_base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
     rows = [
         ["", "forecast_no_event", "forecast_event", "classification_error"],
         [
@@ -60,9 +58,7 @@ def write_confusion_table(table: ConfusionTable, path_base: str | Path) -> list[
             "",
         ],
     ]
-    _write_csv(csv_path, rows)
-    _write_json(json_path, table.to_dict())
-    return [csv_path, json_path]
+    return _write_twin(path_base, rows, table.to_dict())
 
 
 def write_importance_table(
@@ -78,9 +74,6 @@ def write_importance_table(
     when no predictor was universal the columns are omitted entirely and
     the JSON carries a notice instead.
     """
-    base = Path(path_base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
     p = len(names)
     if len(in_sample) != p or len(commonality.proportion_on) != p:
         raise RenderError("importance inputs disagree on predictor count")
@@ -120,7 +113,6 @@ def write_importance_table(
         records.append(rec)
         rows.append(row)
 
-    _write_csv(csv_path, rows)
     doc = {
         "benchmark_mean": None if reverse is None else reverse.benchmark_mean,
         "epsilon": commonality.epsilon,
@@ -131,15 +123,11 @@ def write_importance_table(
             "no always-on or always-off predictors; reverse-coding "
             "columns omitted"
         )
-    _write_json(json_path, doc)
-    return [csv_path, json_path]
+    return _write_twin(path_base, rows, doc)
 
 
 def write_ga_trace(trace: GaTrace, path_base: str | Path) -> list[Path]:
     """Per-generation fitness statistics as CSV plus a JSON twin."""
-    base = Path(path_base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
     rows = [["generation", "best_fitness", "mean_fitness", "median_fitness"]]
     for g in range(len(trace.best)):
         rows.append(
@@ -150,9 +138,9 @@ def write_ga_trace(trace: GaTrace, path_base: str | Path) -> list[Path]:
                 repr(float(trace.median[g])),
             ]
         )
-    _write_csv(csv_path, rows)
-    _write_json(
-        json_path,
+    return _write_twin(
+        path_base,
+        rows,
         {
             "selection_operator": trace.selection_operator,
             "replacement_scheme": trace.replacement_scheme,
@@ -162,26 +150,23 @@ def write_ga_trace(trace: GaTrace, path_base: str | Path) -> list[Path]:
             "median": trace.median.tolist(),
         },
     )
-    return [csv_path, json_path]
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-    except OSError as exc:
-        raise RenderError(f"cannot write {path}: {exc}") from exc
+def _write_twin(
+    path_base: str | Path, rows: list[list[str]], doc: dict
+) -> list[Path]:
+    """Write rows as <base>.csv and doc as <base>.json; return both paths."""
+    base = Path(path_base)
+    paths = [base.with_suffix(".csv"), base.with_suffix(".json")]
 
-
-def _write_json(path: Path, doc: dict) -> None:
     def default(o):
         if isinstance(o, (np.floating, np.integer)):
             return o.item()
         raise TypeError(f"not JSON serializable: {type(o)}")
 
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, default=default, allow_nan=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise RenderError(f"cannot write {path}: {exc}") from exc
+    with write_artifact(paths[0]) as fh:
+        csv.writer(fh).writerows(rows)
+    with write_artifact(paths[1]) as fh:
+        json.dump(doc, fh, indent=1, default=default, allow_nan=True)
+        fh.write("\n")
+    return paths

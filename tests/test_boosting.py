@@ -19,7 +19,6 @@ from rarerisk.boosting import (
     load_model,
     model_from_dict,
     model_to_dict,
-    partial_dependence,
     save_model,
     weighted_deviance,
 )
@@ -464,34 +463,6 @@ class TestImportance:
         m = make_model([tree], p=4)
         imp = in_sample_importance(m)
         assert imp.tolist() == [100.0, 0.0, 0.0, 0.0]
-
-
-class TestPartialDependence:
-    def test_stub_values(self):
-        tree = make_stump(0, logit(0.3), logit(0.7), p=2)
-        m = make_model([tree], p=2)
-        ds = binary_dataset(
-            np.array([[0, 0], [1, 1], [0, 1]], np.uint8), np.array([0, 1, 0])
-        )
-        p0, p1, delta = partial_dependence(m, ds, 0)
-        assert abs(p0 - 0.3) < 1e-12
-        assert abs(p1 - 0.7) < 1e-12
-        assert abs(delta - 0.4) < 1e-12
-
-    def test_unused_predictor_zero_delta(self):
-        tree = make_stump(0, -1.0, 1.0, p=3)
-        m = make_model([tree], p=3)
-        ds = binary_dataset(
-            np.array([[0, 0, 1], [1, 1, 0]], np.uint8), np.array([0, 1])
-        )
-        _, _, delta = partial_dependence(m, ds, 2)
-        assert delta == 0.0
-
-    def test_index_out_of_range(self):
-        m = make_model([make_stump(0, 0.0, 1.0, p=2)], p=2)
-        ds = binary_dataset(np.array([[0, 1]], np.uint8), np.array([1]))
-        with pytest.raises(FitError):
-            partial_dependence(m, ds, 2)
 
 
 class TestSerialization:

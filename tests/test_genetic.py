@@ -9,8 +9,8 @@ from rarerisk.genetic import (
     Population,
     evolve,
     load_population_csv,
+    _rank_probabilities,
     mutate,
-    rank_select,
     save_population_csv,
     single_point_crossover,
 )
@@ -111,37 +111,21 @@ class TestOperators:
 
 
 class TestRankSelect:
-    def test_single_member(self, rng):
-        pop = Population(np.array([[1, 0]], np.uint8), np.array([0.4]))
-        for _ in range(5):
-            assert np.array_equal(rank_select(pop, rng), [1, 0])
+    # evolve draws parents with these probabilities.
+    def test_single_member(self):
+        assert _rank_probabilities(np.array([0.4])).tolist() == [1.0]
 
     def test_two_member_odds(self):
         # Linear rank weights 1 and 2: the fitter member wins 2/3 of draws.
-        rng = np.random.default_rng(5)
-        pop = Population(
-            np.array([[0], [1]], np.uint8), np.array([0.1, 0.9])
-        )
-        n = 100_000
-        wins = sum(int(rank_select(pop, rng)[0]) for _ in range(n))
-        expected = 2 / 3
-        sigma = np.sqrt(expected * (1 - expected) / n)
-        assert abs(wins / n - expected) < 3 * sigma
+        probs = _rank_probabilities(np.array([0.9, 0.1]))
+        assert probs.tolist() == [2 / 3, 1 / 3]
 
-    def test_empirical_frequencies_match_rank_weights(self):
-        rng = np.random.default_rng(6)
+    def test_exact_rank_weights(self):
         m = 6
-        members = np.eye(m, dtype=np.uint8)
-        fitness = np.array([0.15, 0.3, 0.45, 0.6, 0.75, 0.9])
-        pop = Population(members, fitness)
-        n = 100_000
-        counts = np.zeros(m)
-        for _ in range(n):
-            counts[int(np.argmax(rank_select(pop, rng)))] += 1
+        fitness = np.array([0.45, 0.9, 0.15, 0.75, 0.3, 0.6])
+        rank = np.argsort(np.argsort(fitness))  # 0 for the least fit
         weights = np.arange(1, m + 1) / np.arange(1, m + 1).sum()
-        for k in range(m):
-            sigma = np.sqrt(n * weights[k] * (1 - weights[k]))
-            assert abs(counts[k] - n * weights[k]) < 3 * sigma
+        assert np.array_equal(_rank_probabilities(fitness), weights[rank])
 
 
 class TestEvolve:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -192,6 +195,27 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
         (cfg.output_dir / ".lock").unlink()
+
+    def test_live_lock_owner_blocks_run(self, tmp_path):
+        cfg = make_config(tmp_path)
+        cfg.output_dir.mkdir(parents=True)
+        lock = cfg.output_dir / ".lock"
+        lock.write_text(str(os.getpid()), encoding="ascii")
+        with pytest.raises(ConfigError):
+            run_pipeline(cfg)
+        assert lock.read_text(encoding="ascii") == str(os.getpid())
+
+    @pytest.mark.skipif(os.name != "posix", reason="pids are probed on POSIX only")
+    def test_stale_lock_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so no process has its pid
+        cfg = make_config(tmp_path)
+        cfg.output_dir.mkdir(parents=True)
+        (cfg.output_dir / ".lock").write_text(str(child.pid), encoding="ascii")
+        with pytest.warns(RuntimeWarning, match=f"process {child.pid} "):
+            manifest = run_pipeline(cfg)
+        assert manifest.status == "ok"
+        assert not (cfg.output_dir / ".lock").exists()
 
     def test_verify_detects_corruption(self, tmp_path):
         cfg = make_config(tmp_path, output_dir="vrun")
@@ -391,6 +415,22 @@ class TestCli:
         assert main(["report", "--run-dir", str(out)]) == 0
         (out / "population.csv").write_text("broken", encoding="utf-8")
         assert main(["report", "--run-dir", str(out)]) == 2
+
+    def test_report_rejects_failed_run(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["split"]["n_train"] = 600
+        out = tmp_path / "fail"
+        path = write_config(tmp_path, doc)
+        assert main(
+            ["pipeline", "--config", str(path), "--output-dir", str(out)]
+        ) == 2
+        result = verify_manifest(out)
+        assert not result["ok"] and not result["mismatched"]
+        assert (result["status"], result["failed_stage"]) == ("failed", "split")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed in stage 'split': ")
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["pipeline", "--nonsense"]) == 1
