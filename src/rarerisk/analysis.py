@@ -29,6 +29,8 @@ __all__ = [
     "nearest_match",
 ]
 
+_MATCH_BLOCK = 4096  # dataset rows compared at once in nearest_match
+
 
 class SwitchClass(str, enum.Enum):
     ALWAYS_ON = "always_on"
@@ -169,9 +171,14 @@ def nearest_match(
             f"population has {pop.p} predictors, dataset has {ds.p}"
         )
     A = pop.members.astype(np.float64)
-    B = ds.X.astype(np.float64)
+    top = np.zeros(pop.size)
     # Agreements = ones-matching + zeros-matching; exact in float64 for
-    # any realistic p.
-    agree = A @ B.T + (1.0 - A) @ (1.0 - B).T
-    best = np.rint(agree.max(axis=1)).astype(np.int64)
+    # any realistic p. Rows are compared a block at a time, so memory does
+    # not grow with the dataset.
+    for lo in range(0, ds.n, _MATCH_BLOCK):
+        B = ds.X[lo : lo + _MATCH_BLOCK].astype(np.float64)
+        agree = A @ B.T
+        agree += (1.0 - A) @ (1.0 - B).T
+        np.maximum(top, agree.max(axis=1), out=top)
+    best = np.rint(top).astype(np.int64)
     return best, int(best.max())

@@ -15,6 +15,7 @@ construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -47,6 +48,10 @@ __all__ = [
 GAMMA_CLIP = 12.0
 _STEP_CLIP = 4.0
 _MARGIN_CLIP = 36.0  # sigmoid(36) is within 2e-16 of 1
+# The traversal kernel walks at most this many rows, and sums at most this
+# many trees into one block of margins, at a time.
+_CHUNK_ROWS = 512
+_TREE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class RegressionTree:
             raise FitError("tree arrays must be 1-d, non-empty and of equal length")
         # Leaves have no children, an internal node k has both in (k, n),
         # and no node is claimed twice: the nodes reachable from the root
-        # then form a tree, so apply() always terminates.
+        # then form a tree, so every root-to-leaf walk ends.
         leaves = self.feature < 0
         k = np.arange(n, dtype=np.int32)
         lt, rt = self.left, self.right
@@ -142,22 +147,95 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row of X."""
-        return self.value[self.leaf_index(X)]
-
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        idx = np.zeros(n, dtype=np.int32)
-        while True:
-            f = self.feature[idx]
-            internal = f >= 0
-            if not internal.any():
-                return idx
-            cols = np.where(internal, f, 0)
-            xv = X[np.arange(n), cols]
-            nxt = np.where(xv == 1, self.right[idx], self.left[idx])
-            idx = np.where(internal, nxt, idx)
+        """Leaf node id per row of X."""
+        st = _stack((self,), 1.0)
+        idx = np.empty(X.shape[0], dtype=np.int32)
+        for lo in range(0, X.shape[0], _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            idx[lo:hi] = _walk(st, st.root, X[lo:hi])[0]
+        return idx
+
+
+@dataclass(frozen=True)
+class _Stacked:
+    """Trees concatenated into flat tables with global node ids.
+
+    feature[k] is node k's split predictor (0 at leaves). child[k, x] is
+    the node that k sends a row with predictor value x to; a leaf sends
+    every row to itself, so extra steps past a leaf are harmless. value[k]
+    is node k's shrunken leaf value, root[t] is tree t's root and depth is
+    the longest root-to-leaf path.
+    """
+
+    feature: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    root: np.ndarray
+    depth: int
+
+
+def _stack(trees: tuple[RegressionTree, ...], shrinkage: float) -> _Stacked:
+    if not trees:
+        none = np.zeros(0, np.int32)
+        return _Stacked(none, np.zeros((0, 2), np.int32), np.zeros(0), none, 0)
+    sizes = np.array([t.n_nodes for t in trees])
+    root = (np.cumsum(sizes) - sizes).astype(np.int32)
+    offset = np.repeat(root, sizes)
+    raw = np.concatenate([t.feature for t in trees])
+    leaf = raw < 0
+    kids = np.stack([np.concatenate([t.left for t in trees]),
+                     np.concatenate([t.right for t in trees])], axis=1)
+    own = np.arange(len(raw))[:, None]
+    child = np.where(leaf[:, None], own, kids + offset[:, None]).astype(np.int32)
+    depth, frontier = 0, root
+    while True:
+        frontier = frontier[~leaf[frontier]]
+        if not len(frontier):
+            break
+        frontier = child[frontier].ravel()
+        depth += 1
+    value = shrinkage * np.concatenate([t.value for t in trees])
+    return _Stacked(np.where(leaf, 0, raw).astype(np.int32), child, value, root, depth)
+
+
+def _walk(st: _Stacked, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Global leaf ids of the m rows of X: a (len(roots), m) array with one
+    row per tree, for the trees starting at roots.
+
+    All cursors advance together, depth steps in all. A row goes right
+    only where its value is exactly 1; any other value goes left.
+    """
+    m, p = X.shape
+    bits = (X == 1).ravel()
+    row = np.arange(0, m * p, p, dtype=np.int32)
+    cur = np.repeat(roots, m).reshape(len(roots), m)
+    for _ in range(st.depth):
+        cur = st.child.take(2 * cur + bits.take(st.feature.take(cur) + row))
+    return cur
+
+
+def _staged_margins(st: _Stacked, base: float, X: np.ndarray):
+    """Yield (t0, F) for successive blocks of at most _TREE_BLOCK trees.
+
+    F[i] is every row's margin after tree t0 + i, starting from base. Each
+    margin is accumulated one tree at a time in tree order, so it equals
+    the sum of base and the trees' shrunken values taken in that order.
+    """
+    n = X.shape[0]
+    F = np.full(n, base)
+    for t0 in range(0, len(st.root), _TREE_BLOCK):
+        roots = st.root[t0 : t0 + _TREE_BLOCK]
+        terms = np.empty((len(roots) + 1, n))
+        terms[0] = F
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            terms[1:, lo:hi] = st.value.take(_walk(st, roots, X[lo:hi]))
+        # add.accumulate runs along axis 0 in order for every row count;
+        # sum(axis=0) turns pairwise when there is only one row.
+        np.cumsum(terms, axis=0, out=terms)
+        yield t0, terms[1:]
+        F = terms[-1].copy()
 
 
 @dataclass(frozen=True)
@@ -198,6 +276,12 @@ class BoostModel:
     def p(self) -> int:
         return self.n_predictors
 
+    @functools.cached_property
+    def _stacked(self) -> _Stacked:
+        # Built on first use; dataclasses.replace makes a new instance, so
+        # a model with another n_trees_used never sees this one's tables.
+        return _stack(self.trees[: self.n_trees_used], self.shrinkage)
+
     def margin(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         if X.ndim != 2:
@@ -207,9 +291,9 @@ class BoostModel:
                 f"X has {X.shape[1]} columns, model expects {self.p}"
             )
         total = np.full(X.shape[0], self.intercept, dtype=np.float64)
-        for tree in self.trees[: self.n_trees_used]:
-            total += self.shrinkage * tree.apply(X)
-        return total
+        for _, F in _staged_margins(self._stacked, self.intercept, X):
+            total = F[-1]
+        return np.array(total)  # a copy, not a view into the last block
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return expit(self.margin(X))
@@ -457,11 +541,11 @@ def _staged_deviance_sums(
     model: BoostModel, X: np.ndarray, y: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """Total weighted deviance on (X, y) after each successive tree."""
-    F = np.full(X.shape[0], model.intercept)
     out = np.empty(len(model.trees))
-    for t, tree in enumerate(model.trees):
-        F += model.shrinkage * tree.apply(X)
-        out[t] = _deviance_sum(y, w, F)
+    st = _stack(model.trees, model.shrinkage)
+    for t0, F in _staged_margins(st, model.intercept, X):
+        for i, Fi in enumerate(F):
+            out[t0 + i] = _deviance_sum(y, w, Fi)
     return out
 
 

@@ -164,6 +164,26 @@ def single_point_crossover(
     return child1, child2
 
 
+def _breed(
+    members: np.ndarray,
+    parent_idx: np.ndarray,
+    do_cross: np.ndarray,
+    cuts: np.ndarray,
+) -> np.ndarray:
+    """Children of the parent pairs (parent_idx[2k], parent_idx[2k+1]).
+
+    Pair k is single_point_crossover at cuts[k] where do_cross[k] holds;
+    otherwise both parents pass through unchanged.
+    """
+    a = members[parent_idx[0::2]]
+    b = members[parent_idx[1::2]]
+    keep = ~do_cross[:, None] | (np.arange(members.shape[1]) < cuts[:, None])
+    children = np.empty((len(parent_idx),) + members.shape[1:], members.dtype)
+    children[0::2] = np.where(keep, a, b)
+    children[1::2] = np.where(keep, b, a)
+    return children
+
+
 def mutate(
     c: np.ndarray, p_mutation: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -239,16 +259,7 @@ def evolve(
             else np.full(len(do_cross), p)
         )
 
-        children = np.empty((len(parent_idx), p), dtype=np.uint8)
-        for k in range(len(do_cross)):
-            pa = members[parent_idx[2 * k]]
-            pb = members[parent_idx[2 * k + 1]]
-            if do_cross[k] and p > 1:
-                c1, c2 = single_point_crossover(pa, pb, cut=int(cuts[k]))
-            else:
-                c1, c2 = pa.copy(), pb.copy()
-            children[2 * k] = c1
-            children[2 * k + 1] = c2
+        children = _breed(members, parent_idx, do_cross, cuts)
         children = mutate(children[:n_children], config.p_mutation, rng)
 
         if n_elite > 0:

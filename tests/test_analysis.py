@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from rarerisk import analysis
 from rarerisk.analysis import (
     SwitchClass,
     commonality_importance,
@@ -176,6 +177,17 @@ class TestNearestMatch:
         for i in range(8):
             direct = max(int(np.sum(members[i] == X[r])) for r in range(30))
             assert best[i] == direct
+
+    @pytest.mark.parametrize("block", [1, 7, 30, 4096])
+    def test_blocks_match_whole_dataset(self, rng, monkeypatch, block):
+        members = rng.integers(0, 2, size=(11, 6), dtype=np.uint8)
+        X = rng.integers(0, 2, size=(30, 6), dtype=np.uint8)
+        A, B = members.astype(float), X.astype(float)
+        whole = np.rint((A @ B.T + (1 - A) @ (1 - B).T).max(axis=1)).astype(np.int64)
+        monkeypatch.setattr(analysis, "_MATCH_BLOCK", block)
+        best, global_max = nearest_match(uniform_population(members), binary_dataset(X, np.zeros(30)))
+        assert np.array_equal(best, whole)
+        assert global_max == whole.max()
 
     def test_empty_rejected(self):
         ds = binary_dataset(np.array([[1]], np.uint8), [0])

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 
+from rarerisk import boosting
 from rarerisk.boosting import (
     GAMMA_CLIP,
     BoostConfig,
@@ -393,6 +394,151 @@ class TestPredict:
         m = make_model([make_stump(0, 0.0, 1.0, p=2)], p=2)
         with pytest.raises(FitError):
             m.predict(np.zeros((2, 3), np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the stacked traversal kernel: the per-tree walk it replaced,
+# one numpy step per depth level per tree, summed tree by tree.
+
+
+def oracle_leaf_index(tree, X):
+    n = X.shape[0]
+    idx = np.zeros(n, dtype=np.int32)
+    while True:
+        f = tree.feature[idx]
+        internal = f >= 0
+        if not internal.any():
+            return idx
+        cols = np.where(internal, f, 0)
+        xv = X[np.arange(n), cols]
+        nxt = np.where(xv == 1, tree.right[idx], tree.left[idx])
+        idx = np.where(internal, nxt, idx)
+
+
+def oracle_margin(model, X):
+    total = np.full(X.shape[0], model.intercept)
+    for tree in model.trees[: model.n_trees_used]:
+        total += model.shrinkage * tree.value[oracle_leaf_index(tree, X)]
+    return total
+
+
+def oracle_staged_deviance_sums(model, X, y, w):
+    F = np.full(X.shape[0], model.intercept)
+    out = np.empty(len(model.trees))
+    for t, tree in enumerate(model.trees):
+        F += model.shrinkage * tree.value[oracle_leaf_index(tree, X)]
+        out[t] = boosting._deviance_sum(y, w, F)
+    return out
+
+
+def random_tree(rng, p, max_depth):
+    """A valid tree whose shape, depth and child order are random.
+
+    Internal nodes carry non-zero values too, so a walk that stops short
+    of a leaf shows in the margin.
+    """
+    feature, left, right = [-1], [-1], [-1]
+    stack = [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth >= max_depth or rng.random() < 0.2:
+            continue
+        kids = [len(feature), len(feature) + 1]
+        if rng.random() < 0.5:
+            kids.reverse()
+        feature[node] = int(rng.integers(p))
+        left[node], right[node] = kids
+        feature += [-1, -1]
+        left += [-1, -1]
+        right += [-1, -1]
+        stack += [(kids[0], depth + 1), (kids[1], depth + 1)]
+    value = rng.standard_normal(len(feature))
+    return RegressionTree(feature, left, right, value, np.zeros(p))
+
+
+def random_ensemble(seed, n_trees, p=5, max_depth=6):
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, p, int(rng.integers(0, max_depth + 1))) for _ in range(n_trees)]
+    trees[0] = RegressionTree([-1], [-1], [-1], [0.7], np.zeros(p))
+    return make_model(trees, p=p, intercept=-1.3, shrinkage=0.1)
+
+
+# Children that are neither (left, left + 1) nor in depth-first order.
+SCRAMBLED = RegressionTree(
+    feature=[2, 0, 1, -1, -1, -1, -1],
+    left=[4, 6, 5, -1, -1, -1, -1],
+    right=[1, 2, 3, -1, -1, -1, -1],
+    value=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    deviance_reduction=np.zeros(3),
+)
+
+
+class TestStackedTraversal:
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, boosting._CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n_used", [0, 1, 9, 40])
+    def test_margin_bit_identical(self, n_rows, n_used):
+        model = dataclasses.replace(random_ensemble(3, 40), n_trees_used=n_used)
+        X = np.random.default_rng(n_rows).integers(0, 2, size=(n_rows, 5), dtype=np.uint8)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_more_trees_than_one_block(self, n_rows):
+        # With one row, a sum over the tree axis would be pairwise.
+        model = random_ensemble(4, 2 * boosting._TREE_BLOCK + 7, max_depth=3)
+        X = np.random.default_rng(1).integers(0, 2, size=(n_rows, 5), dtype=np.uint8)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    def test_scrambled_children(self):
+        X = np.array(list(np.ndindex(2, 2, 2)), np.uint8)
+        assert np.array_equal(SCRAMBLED.leaf_index(X), oracle_leaf_index(SCRAMBLED, X))
+        model = make_model([SCRAMBLED, SCRAMBLED], p=3, shrinkage=0.5)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+        assert sorted(set(SCRAMBLED.leaf_index(X))) == [3, 4, 5, 6]
+
+    def test_leaf_index_over_several_chunks(self):
+        tree = random_tree(np.random.default_rng(5), 5, 8)
+        X = np.random.default_rng(6).integers(0, 2, size=(3 * boosting._CHUNK_ROWS - 5, 5))
+        assert np.array_equal(tree.leaf_index(X), oracle_leaf_index(tree, X))
+
+    def test_replace_never_reuses_tables(self):
+        model = random_ensemble(7, 30)
+        X = np.random.default_rng(8).integers(0, 2, size=(50, 5), dtype=np.uint8)
+        full = model.margin(X)
+        for k in (0, 1, 12):
+            fewer = dataclasses.replace(model, n_trees_used=k)
+            assert np.array_equal(fewer.margin(X), oracle_margin(fewer, X))
+        assert np.array_equal(model.margin(X), full)
+        assert np.array_equal(full, oracle_margin(model, X))
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.array([[True, False, True], [False, True, True]]),
+            np.array([[2, 1, -1], [1, 2, 0], [-1, 0, 1]], np.int64),
+            np.array([[2.0, np.nan, 1.0], [np.nan, 1.0, 2.0], [1.0, 0.5, -1.0]]),
+        ],
+        ids=["bool", "int64", "float"],
+    )
+    def test_only_exactly_one_goes_right(self, X):
+        assert np.array_equal(SCRAMBLED.leaf_index(X), oracle_leaf_index(SCRAMBLED, X))
+        model = make_model([SCRAMBLED, SCRAMBLED], p=3, shrinkage=0.5)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    def test_staged_deviance_sums_bit_identical(self):
+        model = random_ensemble(9, boosting._TREE_BLOCK + 20)
+        rng = np.random.default_rng(10)
+        X = rng.integers(0, 2, size=(boosting._CHUNK_ROWS + 30, 5), dtype=np.uint8)
+        y = (rng.random(len(X)) < 0.3).astype(np.float64)
+        w = np.where(y == 1, 4.0, 1.0)
+        assert np.array_equal(
+            boosting._staged_deviance_sums(model, X, y, w),
+            oracle_staged_deviance_sums(model, X, y, w),
+        )
+
+    def test_fitted_model_bit_identical(self):
+        ds = synth(n=700, seed=11)
+        model = fit_boost(ds, small_config(max_trees=12, interaction_depth=4))
+        assert np.array_equal(model.margin(ds.X), oracle_margin(model, ds.X))
 
 
 class TestConfusion:

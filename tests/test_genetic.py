@@ -9,6 +9,7 @@ from rarerisk.genetic import (
     Population,
     evolve,
     load_population_csv,
+    _breed,
     _rank_probabilities,
     mutate,
     save_population_csv,
@@ -83,6 +84,49 @@ class TestOperators:
         cut = other.draw(st.integers(0, p))
         c1, c2 = single_point_crossover(a, b, cut=cut)
         assert np.array_equal(np.sort(np.stack([a, b]), 0), np.sort(np.stack([c1, c2]), 0))
+
+    @staticmethod
+    def pairwise_breed(members, parent_idx, do_cross, cuts):
+        children = []
+        for k in range(len(do_cross)):
+            a, b = members[parent_idx[2 * k]], members[parent_idx[2 * k + 1]]
+            if do_cross[k]:
+                children += single_point_crossover(a, b, cut=int(cuts[k]))
+            else:
+                children += [a.copy(), b.copy()]
+        return np.array(children, np.uint8).reshape(len(parent_idx), members.shape[1])
+
+    @given(data=st.data())
+    def test_breed_matches_pairwise_crossover(self, data):
+        p = data.draw(st.integers(1, 9), label="p")
+        n = data.draw(st.integers(1, 6), label="n")
+        pairs = data.draw(st.integers(0, 6), label="pairs")
+        genes = data.draw(st.lists(st.integers(0, 1), min_size=n * p, max_size=n * p))
+        members = np.array(genes, np.uint8).reshape(n, p)
+        parent_idx = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=2 * pairs, max_size=2 * pairs)),
+            np.int64,
+        )
+        do_cross = np.array(
+            data.draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs)), bool
+        )
+        cuts = np.array(
+            data.draw(st.lists(st.integers(0, p), min_size=pairs, max_size=pairs)), np.int64
+        )
+        got = _breed(members, parent_idx, do_cross, cuts)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, self.pairwise_breed(members, parent_idx, do_cross, cuts))
+
+    def test_breed_single_gene_and_pass_through(self):
+        # evolve draws cut = p when p == 1; rows without crossover pass through.
+        members = np.array([[0], [1], [1]], np.uint8)
+        parent_idx = np.array([0, 1, 2, 0])
+        for do_cross in ([True, False], [False, True]):
+            do_cross = np.array(do_cross)
+            got = _breed(members, parent_idx, do_cross, np.ones(2, np.int64))
+            assert got.tolist() == [[0], [1], [1], [0]]
+            expected = self.pairwise_breed(members, parent_idx, do_cross, np.ones(2))
+            assert np.array_equal(got, expected)
 
     def test_mutate_zero_identity(self, rng):
         c = rng.integers(0, 2, 30, dtype=np.uint8)
