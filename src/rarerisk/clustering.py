@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import PredictorSchema
 from .errors import ClusteringError
 from .genetic import Population
 
@@ -119,9 +120,7 @@ def gower_binary_dissimilarity(pop: Population) -> DissimilarityMatrix:
     mism = X.T @ (1.0 - X)
     d = (mism + mism.T) / m
     np.fill_diagonal(d, 0.0)
-    width = max(2, len(str(pop.p)))
-    labels = tuple(f"x{i + 1:0{width}d}" for i in range(pop.p))
-    return DissimilarityMatrix(d, labels)
+    return DissimilarityMatrix(d, PredictorSchema.default(pop.p).names)
 
 
 def agnes_average_linkage(

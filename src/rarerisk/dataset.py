@@ -64,12 +64,6 @@ class PredictorSchema:
     def p(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DatasetError(f"unknown predictor {name!r}") from None
-
     @staticmethod
     def default(p: int, response_name: str = "y") -> "PredictorSchema":
         width = max(2, len(str(p)))

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._io import write_artifact
+from .dataset import PredictorSchema
 from .errors import GeneticError
 
 __all__ = [
@@ -98,10 +99,6 @@ class Population:
     def p(self) -> int:
         return self.members.shape[1]
 
-    def best(self) -> tuple[np.ndarray, float]:
-        k = int(np.argmax(self.fitness))
-        return self.members[k], float(self.fitness[k])
-
 
 @dataclass(frozen=True)
 class GaTrace:
@@ -134,29 +131,18 @@ def _rank_probabilities(fitness: np.ndarray) -> np.ndarray:
 
 
 def single_point_crossover(
-    a: np.ndarray,
-    b: np.ndarray,
-    cut: int | None = None,
-    rng: np.random.Generator | None = None,
+    a: np.ndarray, b: np.ndarray, cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Swap all genes to the right of the cut position.
 
     Children keep their parent's genes at positions <= cut (1-based) and
-    exchange the rest. cut may range from 0 (full swap) to p (no change);
-    when omitted it is drawn uniformly from {1, ..., p-1} using rng.
+    exchange the rest. cut may range from 0 (full swap) to p (no change).
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
         raise GeneticError("parents must be 1-d vectors of equal length")
     p = len(a)
-    if cut is None:
-        if rng is None:
-            raise GeneticError("either cut or rng must be given")
-        if p < 2:
-            cut = p
-        else:
-            cut = int(rng.integers(1, p))
     if not 0 <= cut <= p:
         raise GeneticError(f"cut must lie in [0, {p}], got {cut}")
     child1 = np.concatenate([a[:cut], b[cut:]])
@@ -262,19 +248,14 @@ def evolve(
         children = _breed(members, parent_idx, do_cross, cuts)
         children = mutate(children[:n_children], config.p_mutation, rng)
 
-        if n_elite > 0:
-            # Highest-fitness members survive unchanged, fitness cached.
-            elite_idx = np.argsort(fit, kind="stable")[::-1][:n_elite]
-            new_members = np.vstack([members[elite_idx], children])
-            new_fit = np.empty(n)
-            new_fit[:n_elite] = fit[elite_idx]
-            members = new_members
-            fit = new_fit
-            _evaluate(batch_fitness, members, fit, np.arange(n_elite, n))
-        else:
-            members = children
-            fit = np.empty(n)
-            _evaluate(batch_fitness, members, fit, np.arange(n))
+        # Highest-fitness members survive unchanged, fitness cached.
+        elite_idx = np.argsort(fit, kind="stable")[::-1][:n_elite]
+        new_members = np.vstack([members[elite_idx], children])
+        new_fit = np.empty(n)
+        new_fit[:n_elite] = fit[elite_idx]
+        members = new_members
+        fit = new_fit
+        _evaluate(batch_fitness, members, fit, np.arange(n_elite, n))
 
         best.append(float(fit.max()))
         mean.append(float(fit.mean()))
@@ -294,8 +275,7 @@ def save_population_csv(
 ) -> None:
     """Write members plus a fitness column; reload is bit-identical."""
     if names is None:
-        width = max(2, len(str(pop.p)))
-        names = [f"x{i + 1:0{width}d}" for i in range(pop.p)]
+        names = PredictorSchema.default(pop.p).names
     if len(names) != pop.p:
         raise GeneticError(f"need {pop.p} predictor names, got {len(names)}")
     with write_artifact(path) as fh:

@@ -127,17 +127,48 @@ class PipelineConfig:
         return doc
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+_REQUIRED = object()  # a key without a default
+
+# Every key of every config section with its default. boost and ga take
+# theirs from the stage dataclasses, so a new field there needs no edit
+# here; only the keys the pipeline itself reads are listed by hand.
+_SCHEMA = {
+    "dataset": {"csv": None, "response": None, "synth": None},
+    "split": {"n_train": _REQUIRED, "seed": 0},
+    "boost": {**dataclasses.asdict(BoostConfig()), "cv": True, "threshold": 0.5},
+    "ga": {**dataclasses.asdict(GaConfig()), "repeats": 1},
+    "analysis": {"epsilon": 0.0},
+    "report": {"histogram_bins": 20},
+}
+_SYNTH_SCHEMA = {
+    "n": _REQUIRED,
+    "p": _REQUIRED,
+    "base_rate": 0.05,
+    "effects": 0.0,
+    "on_rates": 0.5,
+    "seed": 0,
+}
+
+
+def _resolve(section, schema: dict, where: str) -> dict:
+    """section with schema's defaults filled in. None counts as an empty
+    section; a non-mapping, an unknown key or a missing required key is a
+    ConfigError."""
+    if section is None:
+        section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a mapping")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    resolved = {**schema, **section}
+    missing = [key for key, value in resolved.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{where}.{missing[0]} is required")
+    return resolved
 
 
-def _broadcast(value, p: int, default: float, what: str) -> tuple[float, ...]:
-    if value is None:
-        return tuple([default] * p)
+def _broadcast(value, p: int, what: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return tuple([float(value)] * p)
     values = [float(v) for v in value]
@@ -148,124 +179,57 @@ def _broadcast(value, p: int, default: float, what: str) -> tuple[float, ...]:
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> PipelineConfig:
     """Build a validated PipelineConfig from a parsed YAML/JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a mapping")
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-    _require_keys(
-        doc,
-        {"output_dir", "dataset", "split", "boost", "ga", "analysis", "report"},
-        "config",
-    )
 
-    out = doc.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV)
-    if not out:
-        raise ConfigError(
-            f"output_dir missing (set it in the config or via ${OUTPUT_DIR_ENV})"
-        )
-    output_dir = (base / out).resolve() if not Path(out).is_absolute() else Path(out)
+    def resolve_path(raw) -> Path:
+        path = Path(raw)
+        return path if path.is_absolute() else (base / path).resolve()
 
-    ds_sec = doc.get("dataset")
-    if not isinstance(ds_sec, dict):
-        raise ConfigError("dataset section is required")
-    _require_keys(ds_sec, {"csv", "response", "synth"}, "dataset")
-    csv_path = csv_response = synth = None
-    if "csv" in ds_sec and "synth" in ds_sec:
-        raise ConfigError("dataset.csv and dataset.synth are mutually exclusive")
-    if "csv" in ds_sec:
-        raw = Path(ds_sec["csv"])
-        csv_path = raw if raw.is_absolute() else (base / raw).resolve()
-        csv_response = ds_sec.get("response")
-    elif "synth" in ds_sec:
-        s = ds_sec["synth"]
-        _require_keys(
-            s,
-            {"n", "p", "base_rate", "effects", "on_rates", "seed"},
-            "dataset.synth",
-        )
-        try:
+    try:
+        root = _resolve(doc, dict.fromkeys(["output_dir", *_SCHEMA]), "config")
+        sec = {name: _resolve(root[name], _SCHEMA[name], name) for name in _SCHEMA}
+        out = root["output_dir"] or os.environ.get(OUTPUT_DIR_ENV)
+        if not out:
+            raise ConfigError(
+                f"output_dir missing (set it in the config or via ${OUTPUT_DIR_ENV})"
+            )
+        dataset = sec["dataset"]
+        csv_path = csv_response = synth = None
+        if dataset["csv"] is not None:
+            csv_path = resolve_path(dataset["csv"])
+            csv_response = dataset["response"]
+        if dataset["synth"] is not None:
+            s = _resolve(dataset["synth"], _SYNTH_SCHEMA, "dataset.synth")
             p = int(s["p"])
             synth = SynthSpec(
                 n=int(s["n"]),
                 p=p,
-                base_rate=float(s.get("base_rate", 0.05)),
-                effects=_broadcast(s.get("effects"), p, 0.0, "effects"),
-                predictor_on_rates=_broadcast(
-                    s.get("on_rates"), p, 0.5, "on_rates"
-                ),
-                seed=int(s.get("seed", 0)),
+                base_rate=float(s["base_rate"]),
+                effects=_broadcast(s["effects"], p, "effects"),
+                predictor_on_rates=_broadcast(s["on_rates"], p, "on_rates"),
+                seed=int(s["seed"]),
             )
-        except KeyError as exc:
-            raise ConfigError(f"dataset.synth missing key {exc}") from None
-    else:
-        raise ConfigError("dataset must contain either csv or synth")
-
-    split_sec = doc.get("split")
-    if not isinstance(split_sec, dict) or "n_train" not in split_sec:
-        raise ConfigError("split.n_train is required")
-    _require_keys(split_sec, {"n_train", "seed"}, "split")
-
-    boost_sec = doc.get("boost") or {}
-    _require_keys(
-        boost_sec,
-        {
-            "cost_ratio",
-            "interaction_depth",
-            "shrinkage",
-            "bag_fraction",
-            "min_node",
-            "max_trees",
-            "cv_folds",
-            "seed",
-            "cv",
-            "threshold",
-        },
-        "boost",
-    )
-    boost_sec = dict(boost_sec)
-    use_cv = bool(boost_sec.pop("cv", True))
-    threshold = float(boost_sec.pop("threshold", 0.5))
-
-    ga_sec = doc.get("ga") or {}
-    _require_keys(
-        ga_sec,
-        {
-            "pop_size",
-            "generations",
-            "p_mutation",
-            "p_crossover",
-            "elitism_fraction",
-            "seed",
-            "repeats",
-        },
-        "ga",
-    )
-    ga_sec = dict(ga_sec)
-    ga_repeats = int(ga_sec.pop("repeats", 1))
-
-    analysis_sec = doc.get("analysis") or {}
-    _require_keys(analysis_sec, {"epsilon"}, "analysis")
-    report_sec = doc.get("report") or {}
-    _require_keys(report_sec, {"histogram_bins"}, "report")
-
-    try:
+        boost, ga = sec["boost"], sec["ga"]
+        use_cv, threshold = bool(boost.pop("cv")), float(boost.pop("threshold"))
+        ga_repeats = int(ga.pop("repeats"))
         return PipelineConfig(
-            output_dir=output_dir,
+            output_dir=resolve_path(out),
             csv_path=csv_path,
             csv_response=csv_response,
             synth=synth,
-            n_train=int(split_sec["n_train"]),
-            split_seed=int(split_sec.get("seed", 0)),
-            boost=BoostConfig(**boost_sec),
+            n_train=int(sec["split"]["n_train"]),
+            split_seed=int(sec["split"]["seed"]),
+            boost=BoostConfig(**boost),
             use_cv=use_cv,
             threshold=threshold,
-            ga=GaConfig(**ga_sec),
+            ga=GaConfig(**ga),
             ga_repeats=ga_repeats,
-            epsilon=float(analysis_sec.get("epsilon", 0.0)),
-            histogram_bins=int(report_sec.get("histogram_bins", 20)),
+            epsilon=float(sec["analysis"]["epsilon"]),
+            histogram_bins=int(sec["report"]["histogram_bins"]),
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, RareRiskError) as exc:
+    except (TypeError, ValueError, OverflowError, RareRiskError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
 
@@ -289,10 +253,13 @@ def load_config(
     validated.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = _parse_yaml(fh, str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    doc = _parse_yaml(text, str(path))
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rarerisk.clustering import gower_binary_dissimilarity
 from rarerisk.errors import GeneticError
 from rarerisk.genetic import (
     GaConfig,
@@ -212,6 +213,18 @@ class TestEvolve:
         assert trace.final.members.shape == (40, 7)
         assert set(np.unique(trace.final.members)) <= {0, 1}
 
+    def test_no_elitism(self):
+        # With no elites every member of a generation is bred and scored.
+        cfg = quick_config(elitism_fraction=0.0, generations=12, seed=4)
+        t1, t2 = (
+            evolve(None, p=9, config=cfg, batch_fitness=lambda m: m.mean(axis=1))
+            for _ in range(2)
+        )
+        assert np.array_equal(t1.final.members, t2.final.members)
+        assert np.array_equal(t1.best, t2.best)
+        assert len(t1.best) == 13
+        assert np.array_equal(t1.final.fitness, t1.final.members.mean(axis=1))
+
     def test_trace_length(self):
         cfg = quick_config(generations=12)
         trace = evolve(ones_fraction, p=5, config=cfg)
@@ -266,6 +279,17 @@ class TestPopulationIo:
         assert names == [f"p{i}" for i in range(6)]
         assert np.array_equal(back.members, pop.members)
         assert np.array_equal(back.fitness, pop.fitness)
+
+    @pytest.mark.parametrize(
+        "p, first, last", [(3, "x01", "x03"), (100, "x001", "x100")]
+    )
+    def test_default_names(self, tmp_path, p, first, last):
+        pop = Population(np.eye(4, p, dtype=np.uint8), np.zeros(4))
+        path = tmp_path / "pop.csv"
+        save_population_csv(pop, path)
+        header = path.read_text("utf-8").splitlines()[0].split(",")
+        assert [header[0], header[-2], header[-1]] == [first, last, "fitness"]
+        assert tuple(header[:-1]) == gower_binary_dissimilarity(pop).labels
 
     def test_rejects_invalid_members(self):
         with pytest.raises(GeneticError):

@@ -13,6 +13,8 @@ import yaml
 from rarerisk.cli import main
 from rarerisk.errors import ConfigError, StageError
 from rarerisk.pipeline import (
+    _SCHEMA,
+    _SYNTH_SCHEMA,
     config_from_dict,
     load_config,
     run_pipeline,
@@ -109,6 +111,30 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.boost.max_trees == 15
         assert cfg.ga.pop_size == 40
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        # The README example is the reference for the config keys: it must
+        # load, and name every key the schema has and the manifest echoes
+        # (csv and response are the alternative dataset source).
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.yaml"
+        path.write_text(block, encoding="utf-8")
+        echo = load_config(path).to_dict()
+
+        def leaf_keys(doc, prefix=""):
+            out = set()
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    out |= leaf_keys(value, f"{prefix}{key}.")
+                else:
+                    out.add(prefix + key)
+            return out
+
+        schema = {"output_dir"} | {f"dataset.synth.{k}" for k in _SYNTH_SCHEMA}
+        schema |= {f"{name}.{k}" for name, keys in _SCHEMA.items() for k in keys}
+        schema -= {"dataset.csv", "dataset.response", "dataset.synth"}
+        assert leaf_keys(yaml.safe_load(block)) == schema == leaf_keys(echo)
 
     def test_effects_broadcast_scalar(self, tmp_path):
         cfg = make_config(tmp_path, **{"dataset.synth": dict(
@@ -503,6 +529,26 @@ def _manifest_missing_keys(tmp):
     return ["report", "--run-dir", str(tmp)]
 
 
+def _set(item):
+    """argv that overrides one entry of a valid config with item."""
+
+    def make_argv(tmp):
+        return ["pipeline", "--config", str(write_config(tmp)), "--set", item]
+
+    make_argv.__name__ = f"_set_{item}"
+    return make_argv
+
+
+def _config_is_directory(tmp):
+    return ["pipeline", "--config", str(tmp)]
+
+
+def _config_not_utf8(tmp):
+    path = tmp / "config.yaml"
+    path.write_bytes(b"\xff\xfe")
+    return ["pipeline", "--config", str(path)]
+
+
 def _population_not_numeric(tmp):
     pop = tmp / "pop.csv"
     pop.write_text("x1,x2,fitness\n1,0,0.5\n1,yes,0.25\n", encoding="utf-8")
@@ -522,6 +568,14 @@ def _population_not_numeric(tmp):
         (_manifest_not_json, 1),
         (_manifest_missing_keys, 1),
         (_population_not_numeric, 2),
+        (_set("boost.threshold=abc"), 1),
+        (_set("ga.repeats=abc"), 1),
+        (_set("dataset.synth.n=abc"), 1),
+        (_set("dataset.synth.effects=abc"), 1),
+        (_set("output_dir=5"), 1),
+        (_set("analysis=0"), 1),
+        (_config_is_directory, 1),
+        (_config_not_utf8, 1),
     ],
 )
 def test_corrupt_input_exits_with_documented_code(
