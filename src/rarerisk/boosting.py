@@ -329,11 +329,17 @@ def _segment_optima(
     [-GAMMA_CLIP, GAMMA_CLIP] by damped Newton, and the problem's total
     deviance there. A gamma never increases its problem's loss relative to
     gamma = 0, and a problem without rows gets gamma = 0.
-    """
-    flat = seg.ravel()
 
-    def sums(v: np.ndarray) -> np.ndarray:
-        return np.bincount(flat, np.broadcast_to(v, seg.shape).ravel(), n_seg)
+    Only problems still moving are iterated, and the result equals the
+    plain loop over every entry bit for bit. A pure problem (no weighted
+    positives, or no weighted negatives) starts at the clip, where the
+    loop would end after steps of at least 1. Once fewer than half the
+    entries belong to moving problems, only theirs are kept, in order, so
+    each problem's sums add the same terms in the same order.
+    """
+
+    def sums(v: np.ndarray, at: np.ndarray = seg) -> np.ndarray:
+        return np.bincount(at.ravel(), np.broadcast_to(v, at.shape).ravel(), n_seg)
 
     # sigma(F+gamma) is formed as E*t/(1+E*t) with E = exp(F) cached, so
     # the iterations are exp-free in the data dimension. Clipping F only
@@ -341,32 +347,50 @@ def _segment_optima(
     Fc = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None]
     E = np.exp(Fc)
     wcol = w[:, None]
-    wy = sums(wcol * y[:, None])
+    wt, wy = sums(wcol), sums(wcol * y[:, None])
 
     def deviance(gamma: np.ndarray) -> np.ndarray:
         # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
-        S = E * np.exp(gamma)[seg]
-        return 2.0 * sums(wcol * (np.log1p(S) - y[:, None] * (Fc + gamma[seg])))
+        L = np.log1p(E * np.exp(gamma)[seg])
+        L -= y[:, None] * (Fc + gamma[seg])
+        L *= wcol
+        return 2.0 * sums(L)
 
-    gamma = np.zeros(n_seg)
-    done = np.zeros(n_seg, dtype=bool)
+    # Pure problems start where the plain loop ends: at the clip, reached
+    # by steps g/h >= 1. That needs h > 1e-300 on the way (h is at least
+    # 1e-21 times the largest weight there) and g >= h: exact when wy = 0,
+    # but wy - sum(w P) cancels, so upwards only while every positive row
+    # keeps (1 - P)^2 >= 4 (entries + 1) eps at +GAMMA_CLIP.
+    heavy = wt > 1e-250
+    gamma = np.where(heavy & (wy == 0.0), -GAMMA_CLIP, 0.0)
+    top = Fc[y == 1].max(initial=-_MARGIN_CLIP) + GAMMA_CLIP
+    if (1.0 + np.exp(top)) ** -2 >= 4 * (seg.size + 1) * np.finfo(float).eps:
+        gamma[heavy & (wy == wt)] = GAMMA_CLIP
+    # A problem without weight has no curvature; it stays at 0.
+    done = (gamma != 0.0) | (wt == 0.0)
+    count = np.bincount(seg.ravel(), minlength=n_seg)
+    at, rows, Ea, wa = seg, None, E, wcol
     for _ in range(80):
-        S = E * np.exp(gamma)[seg]
-        P = S / (1.0 + S)
-        WP = wcol * P
-        g = wy - sums(WP)
-        h = sums(WP * (1.0 - P))
-        step = np.clip(g / np.maximum(h, 1e-300), -_STEP_CLIP, _STEP_CLIP)
-        # A problem without curvature (no rows) stays where it is.
-        live = ~done & (h > 1e-300)
-        new = np.where(live, np.clip(gamma + step, -GAMMA_CLIP, GAMMA_CLIP), gamma)
-        done |= np.abs(new - gamma) < 1e-12
-        gamma = new
         if done.all():
             break
+        if 2 * count[~done].sum() < at.size:
+            sel = np.flatnonzero(~done[at])
+            rows = sel // seg.shape[1] if rows is None else rows[sel]
+            at, Ea, wa = at.ravel()[sel], E[rows, 0], w[rows]
+        S = Ea * np.exp(gamma)[at]
+        P = S / (1.0 + S)
+        WP = np.multiply(wa, P, out=S)
+        g = wy - sums(WP, at)
+        h = sums(np.multiply(WP, np.subtract(1.0, P, out=P), out=P), at)
+        # A problem without curvature, or done, gets no step.
+        step = np.divide(g, h, out=np.zeros(n_seg), where=~done & (h > 1e-300))
+        new = (gamma + step.clip(-_STEP_CLIP, _STEP_CLIP)).clip(-GAMMA_CLIP, GAMMA_CLIP)
+        done |= np.abs(new - gamma) < 1e-12
+        gamma = new
 
     # Safeguard: halve any gamma that loses to gamma = 0; zero it after 60.
-    base = deviance(np.zeros(n_seg))
+    # At gamma = 0 every entry of a row holds the same term.
+    base = 2.0 * sums(wcol * (np.log1p(E) - y[:, None] * Fc))
     dev = deviance(gamma)
     for _ in range(60):
         worse = dev > base

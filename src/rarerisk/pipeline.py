@@ -271,7 +271,10 @@ def load_config(
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            # An empty section (`boost:` with nothing under it) reads as None.
+            if node.get(part) is None:
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override {key!r}: not a mapping")
         node[parts[-1]] = _parse_yaml(raw, f"--set {item!r}")

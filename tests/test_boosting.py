@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 
 from rarerisk import boosting
 from rarerisk.boosting import (
+    _MARGIN_CLIP,
+    _STEP_CLIP,
     GAMMA_CLIP,
     BoostConfig,
     ConfusionTable,
@@ -265,6 +269,163 @@ class TestLeafRefit:
             expected, _ = oracle_leaf(yf[rows], w[rows], F[rows])
             assert abs(tree.value[leaf] - expected) < 1e-6, f"leaf {leaf}"
         assert -GAMMA_CLIP in tree.value[np.unique(idx)]
+
+
+def _reference_segment_optima(seg, n_seg, y, w, F):
+    """The plain segmented Newton solver: every iteration sweeps every
+    entry of seg until all problems have converged. _segment_optima must
+    return exactly its bits."""
+    flat = seg.ravel()
+
+    def sums(v):
+        return np.bincount(flat, np.broadcast_to(v, seg.shape).ravel(), n_seg)
+
+    Fc = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None]
+    E = np.exp(Fc)
+    wcol = w[:, None]
+    wy = sums(wcol * y[:, None])
+
+    def deviance(gamma):
+        S = E * np.exp(gamma)[seg]
+        return 2.0 * sums(wcol * (np.log1p(S) - y[:, None] * (Fc + gamma[seg])))
+
+    gamma = np.zeros(n_seg)
+    done = np.zeros(n_seg, dtype=bool)
+    for _ in range(80):
+        S = E * np.exp(gamma)[seg]
+        P = S / (1.0 + S)
+        WP = wcol * P
+        g = wy - sums(WP)
+        h = sums(WP * (1.0 - P))
+        step = np.clip(g / np.maximum(h, 1e-300), -_STEP_CLIP, _STEP_CLIP)
+        live = ~done & (h > 1e-300)
+        new = np.where(live, np.clip(gamma + step, -GAMMA_CLIP, GAMMA_CLIP), gamma)
+        done |= np.abs(new - gamma) < 1e-12
+        gamma = new
+        if done.all():
+            break
+
+    base = deviance(np.zeros(n_seg))
+    dev = deviance(gamma)
+    for _ in range(60):
+        worse = dev > base
+        if not worse.any():
+            break
+        gamma = np.where(worse, 0.5 * gamma, gamma)
+        dev = deviance(gamma)
+    worse = dev > base
+    gamma[worse] = 0.0
+    return gamma, np.where(worse, base, dev)
+
+
+def assert_solver_matches_reference(seg, n_seg, y, w, F):
+    expected = _reference_segment_optima(seg, n_seg, y, w, F)
+    # A problem dropped from the iterations must not leave an overflowing
+    # or undefined step behind.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = boosting._segment_optima(seg, n_seg, y, w, F)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    return got
+
+
+class TestSegmentOptima:
+    @given(
+        m=st.integers(1, 40),
+        k=st.integers(1, 3),
+        n_seg=st.integers(1, 12),
+        pure_columns=st.integers(0, 3),
+        prevalence=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        cost_ratio=st.sampled_from([0.1, 10.0, 3e8]),
+        centre=st.floats(-60.0, 60.0),
+        spread=st.sampled_from([0.0, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_bit_for_bit(
+        self, m, k, n_seg, pure_columns, prevalence, cost_ratio, centre, spread, seed
+    ):
+        # k columns draw ids from range(n_seg), which leaves some problems
+        # without rows; each pure column splits the rows by class into two
+        # problems of its own, so they can hold most entries. Centres past
+        # +-36 saturate every margin.
+        rng = np.random.default_rng(seed)
+        y = (rng.random(m) < prevalence).astype(np.float64)
+        pure = [n_seg + 2 * c + y.astype(np.intp) for c in range(pure_columns)]
+        seg = np.column_stack([rng.integers(0, n_seg, size=(m, k)), *pure])
+        w = boosting._weights(y, cost_ratio)
+        F = rng.normal(centre, spread, m)
+        assert_solver_matches_reference(seg, n_seg + 2 * pure_columns, y, w, F)
+
+    def test_pure_majority_is_dropped_at_once(self):
+        # Two of three columns are pure and start done, so the first
+        # iteration already runs on the third column's entries only. Their
+        # sums must add in the original order, and the dropped pure-positive
+        # problems (wy = 3e8 per row) must not be divided by h = 0.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            y = (rng.random(60) < 0.3).astype(np.float64)
+            w = boosting._weights(y, 3e8)
+            F = rng.normal(-1.0, 2.0, 60)
+            cls = y.astype(np.intp)
+            seg = np.column_stack([6 + cls, 8 + cls, rng.integers(0, 6, 60)])
+            gamma, _ = assert_solver_matches_reference(seg, 10, y, w, F)
+            assert np.array_equal(gamma[6:], [-GAMMA_CLIP, GAMMA_CLIP] * 2)
+
+    def test_one_slow_problem_outlasts_the_rest(self):
+        # Problem 0 holds 4 of 400 entries, and damped Newton cycles on it
+        # until the iteration cap; every other problem is done within a
+        # few iterations, so the last ones run on problem 0's entries only.
+        rng = np.random.default_rng(3)
+        m = 200
+        y = (rng.random(m) < 0.3).astype(np.float64)
+        y[:4] = [0.0, 1.0, 0.0, 1.0]
+        w = boosting._weights(y, 10.0)
+        F = rng.normal(-1.0, 1.0, m)
+        F[:4] = [-1.0, 26.0, -1.0, 24.0]
+        seg = np.column_stack([rng.integers(1, 6, m), rng.integers(6, 10, m)])
+        seg[:4, 0] = 0
+        gamma, _ = assert_solver_matches_reference(seg, 10, y, w, F)
+        assert -GAMMA_CLIP < gamma[0] < GAMMA_CLIP
+
+    def test_every_problem_pure(self):
+        rng = np.random.default_rng(4)
+        y = (rng.random(60) < 0.2).astype(np.float64)
+        w = boosting._weights(y, 10.0)
+        F = rng.normal(-2.0, 1.0, 60)
+        seg = np.column_stack([y.astype(int) + 2 * c for c in range(3)])
+        gamma, _ = assert_solver_matches_reference(seg, 6, y, w, F)
+        assert np.array_equal(gamma, np.tile([-GAMMA_CLIP, GAMMA_CLIP], 3))
+
+    def test_pure_positive_with_saturated_margins(self):
+        # 1 - P rounds away near saturation, so the plain loop stops short
+        # of the clip; such problems must not start there.
+        y = np.ones(50)
+        seg = np.zeros((50, 1), dtype=np.intp)
+        for margin in (0.0, 24.0, 26.0, 30.0, 40.0):
+            F = np.full(50, margin)
+            assert_solver_matches_reference(seg, 1, y, np.full(50, 10.0), F)
+
+    def test_pure_problems_with_tiny_weights(self):
+        # Below ~1e-280 the curvature can fall under its 1e-300 floor on the
+        # way to the clip, and the plain loop stops there.
+        seg = np.zeros((5, 1), dtype=np.intp)
+        for weight in (1e-250, 1e-290, 1e-310):
+            for label, margin in ((0.0, -30.0), (1.0, 0.0)):
+                y, F = np.full(5, label), np.full(5, margin)
+                assert_solver_matches_reference(seg, 1, y, np.full(5, weight), F)
+
+    def test_single_column_refit_matrix(self):
+        # The refit passes one column of leaf ids; internal nodes get no
+        # rows and must come back as 0.0.
+        rng = np.random.default_rng(5)
+        y = (rng.random(300) < 0.1).astype(np.float64)
+        leaf = rng.choice([3, 4, 5, 6], 300)
+        leaf[y == 1] = np.where(leaf[y == 1] == 6, 5, leaf[y == 1])
+        w = boosting._weights(y, 10.0)
+        F = rng.normal(-2.0, 0.5, 300)
+        gamma, _ = assert_solver_matches_reference(leaf[:, None], 7, y, w, F)
+        assert np.array_equal(gamma[:3], np.zeros(3))
+        assert gamma[6] == -GAMMA_CLIP
 
 
 class TestTopology:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rarerisk.boosting import BoostConfig
 from rarerisk.cli import main
 from rarerisk.errors import ConfigError, StageError
 from rarerisk.pipeline import (
@@ -111,6 +112,17 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.boost.max_trees == 15
         assert cfg.ga.pop_size == 40
+
+    def test_set_into_empty_section(self, tmp_path):
+        # `boost:` with nothing under it is an empty section, so --set can
+        # fill it in just as it fills in a missing one.
+        doc = {k: v for k, v in MINIMAL.items() if k != "boost"}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc) + "boost:\n", encoding="utf-8")
+        assert load_config(path).boost.seed == BoostConfig().seed
+        cfg = load_config(path, overrides=["boost.seed=3"])
+        assert cfg.boost.seed == 3
+        assert cfg.boost.max_trees == BoostConfig().max_trees
 
     def test_readme_example_names_every_key(self, tmp_path):
         # The README example is the reference for the config keys: it must
@@ -539,6 +551,13 @@ def _set(item):
     return make_argv
 
 
+def _set_into_non_mapping(tmp):
+    doc = {k: v for k, v in MINIMAL.items() if k != "boost"}
+    path = tmp / "config.yaml"
+    path.write_text(yaml.safe_dump(doc) + "boost: 0\n", encoding="utf-8")
+    return ["pipeline", "--config", str(path), "--set", "boost.seed=3"]
+
+
 def _config_is_directory(tmp):
     return ["pipeline", "--config", str(tmp)]
 
@@ -574,6 +593,7 @@ def _population_not_numeric(tmp):
         (_set("dataset.synth.effects=abc"), 1),
         (_set("output_dir=5"), 1),
         (_set("analysis=0"), 1),
+        (_set_into_non_mapping, 1),
         (_config_is_directory, 1),
         (_config_not_utf8, 1),
     ],
