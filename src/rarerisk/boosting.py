@@ -18,7 +18,12 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -573,39 +578,78 @@ def _staged_deviance_sums(
     return out
 
 
-def cv_deviance_curve(train: DataSet, config: BoostConfig) -> np.ndarray:
-    """Mean held-out weighted deviance after each boosting iteration.
+def _fold_deviance(
+    train: DataSet, config: BoostConfig, held: np.ndarray, fold_seed: int
+) -> tuple[np.ndarray, float]:
+    """Fit on the rows outside held: staged deviance sums and weight on held."""
+    sub = train.take(np.flatnonzero(~held))
+    model = fit_boost(sub, dataclasses.replace(config, seed=fold_seed))
+    yk = train.y[held].astype(np.float64)
+    wk = _weights(yk, config.cost_ratio)
+    return _staged_deviance_sums(model, train.X[held], yk, wk), float(wk.sum())
 
-    Folds are stratified by class; fold assignment and the per-fold refits
-    all derive deterministically from config.seed.
-    """
+
+def _cv(train: DataSet, config: BoostConfig, *extra: tuple) -> tuple[np.ndarray, list]:
+    """The CV curve, and the results of the extra tasks run beside the folds.
+    Folds are stratified by class; they and their fits derive from config.seed."""
     if config.max_trees < 1:
         raise FitError("cross-validation needs max_trees >= 1")
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.cv_folds + 1)
-    fold_rng = np.random.default_rng(children[0])
-    folds = _stratified_folds(train.y, config.cv_folds, fold_rng)
+    seqs = np.random.SeedSequence(config.seed).spawn(config.cv_folds + 1)
+    fold = _stratified_folds(train.y, config.cv_folds, np.random.default_rng(seqs[0]))
+    seeds = [int(s.generate_state(1, np.uint64)[0]) for s in seqs[1:]]
+    fits = [(_fold_deviance, (train, config, fold == k, s)) for k, s in enumerate(seeds)]
+    results = _run_tasks(fits + list(extra))
+    dev, weight = np.zeros(config.max_trees), 0.0
+    for fold_dev, fold_weight in results[: len(fits)]:  # in fold order
+        dev, weight = dev + fold_dev, weight + fold_weight
+    return dev / weight, results[len(fits) :]
 
-    dev_total = np.zeros(config.max_trees)
-    weight_total = 0.0
-    for k in range(config.cv_folds):
-        held = folds == k
-        sub = train.take(np.flatnonzero(~held))
-        fold_seed = int(children[k + 1].generate_state(1, np.uint64)[0])
-        fold_cfg = dataclasses.replace(config, seed=fold_seed)
-        model = fit_boost(sub, fold_cfg)
-        yk = train.y[held].astype(np.float64)
-        wk = _weights(yk, config.cost_ratio)
-        dev_total += _staged_deviance_sums(model, train.X[held], yk, wk)
-        weight_total += float(wk.sum())
-    return dev_total / weight_total
+
+def _workers(n_tasks: int) -> int:
+    """One worker per usable CPU, at most one per task. A daemonic process
+    may not have children, so it runs the tasks itself."""
+    if multiprocessing.current_process().daemon or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: exit once orphaned, not wait for tasks for ever."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _run_tasks(tasks: list) -> list:
+    """fn(*args) of each (fn, args) task, in order, run at once in workers. The
+    first error ends the other workers and is re-raised; none outlives the call."""
+    if (workers := _workers(len(tasks))) == 1:
+        return [fn(*args) for fn, args in tasks]
+    fork = multiprocessing.get_context("fork")  # spawn would need a __main__ guard
+    with ProcessPoolExecutor(workers, fork, _exit_with_parent, (os.getpid(),)) as pool:
+        futures = [pool.submit(fn, *args) for fn, args in tasks]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            for proc in list(pool._processes.values()):  # shutdown would wait
+                proc.terminate()
+            raise
+    return [future.result() for future in futures]
+
+
+def cv_deviance_curve(train: DataSet, config: BoostConfig) -> np.ndarray:
+    """Mean held-out weighted deviance after each boosting iteration, with
+    the folds fitted at once, one worker process per usable CPU."""
+    return _cv(train, config)[0]
 
 
 def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
-    """Fit on all training rows with the CV-selected iteration count."""
-    curve = cv_deviance_curve(train, config)
+    """Fit on all training rows, beside the folds, with the CV-selected tree count."""
+    curve, (model,) = _cv(train, config, (fit_boost, (train, config)))
     n_sel = int(np.argmin(curve)) + 1
-    model = fit_boost(train, config)
     return dataclasses.replace(model, n_trees_used=n_sel, cv_curve=curve)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -500,6 +502,50 @@ class TestCv:
         assert m.cv_curve is not None and len(m.cv_curve) == 15
         assert m.n_trees_used == int(np.argmin(m.cv_curve)) + 1
         assert len(m.trees) == 15
+
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        # Five folds (six tasks with the refit) spread unevenly over the
+        # workers; 1 runs them in-process.
+        ds = synth(n=500, seed=11, base_rate=0.2)
+        cfg = small_config(max_trees=12, cv_folds=5, seed=9, cost_ratio=2.0)
+        curves, models = [], []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
+            curves.append(cv_deviance_curve(ds, cfg))
+            models.append(model_to_dict(fit_boost_cv(ds, cfg)))
+        assert all(np.array_equal(curves[0], c) for c in curves[1:])
+        assert models[0] == models[1] == models[2]
+        assert models[0]["cv_curve"] == curves[0].tolist()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_fold_surfaces_at_once(self, monkeypatch, workers):
+        # Each fold trains on 2000 of the 4000 rows, fewer than min_node, so
+        # both folds fail at once. The full-data fit is valid (stumps only,
+        # as no node has 2 * min_node rows) but takes half a minute or more;
+        # it must be ended, not waited for.
+        monkeypatch.setattr(boosting, "_workers", lambda n: workers)
+        X = np.random.default_rng(0).integers(0, 2, size=(4000, 3))
+        ds = binary_dataset(X, np.repeat([1, 0], [800, 3200]))
+        cfg = small_config(cv_folds=2, min_node=2001, max_trees=40000)
+        start = time.monotonic()
+        with pytest.raises(FitError, match=r"^min_node=2001 exceeds the 2000 training rows$"):
+            fit_boost_cv(ds, cfg)
+        assert time.monotonic() - start < 5
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_daemonic_caller_fits_in_process(self):
+        # A multiprocessing.Pool worker is daemonic and may not start
+        # processes of its own, so it runs the folds itself.
+        ds = synth(n=300, seed=12)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_small_cv_fit, (ds,)) == _small_cv_fit(ds)
+
+
+def _small_cv_fit(ds):
+    return model_to_dict(fit_boost_cv(ds, small_config(max_trees=5, cv_folds=2)))
 
 
 def _pooled_intercept_cv_deviance(ds, cfg):

@@ -1,21 +1,27 @@
 """The atomic artifact writer, the rule that every artifact goes through it,
-and what a killed pipeline leaves behind."""
+and what a killed pipeline, CV fit or fit worker leaves behind."""
 
 import ast
 import json
+import multiprocessing
 import os
 import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 import yaml
 
 import rarerisk
+from rarerisk import boosting
 from rarerisk._io import write_artifact
+from rarerisk.boosting import BoostConfig
+from rarerisk.dataset import SynthSpec, synthesize
 from rarerisk.errors import ArtifactError
 from rarerisk.pipeline import config_from_dict, run_pipeline, verify_manifest
 
@@ -177,3 +183,84 @@ def test_sigkill_leaves_no_truncated_artifact(tmp_path):
     assert not [f.name for f in killed.iterdir() if f.name.endswith(".tmp")]
     assert not (killed / ".lock").exists()
     assert verify_manifest(killed)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# A CV fit killed while its folds run in worker processes
+
+# Module-level code with no __main__ guard, as in a plain script; the fit
+# takes a few seconds.
+_CV_FIT = """
+from rarerisk.boosting import BoostConfig, fit_boost_cv
+from rarerisk.dataset import SynthSpec, synthesize
+
+ds = synthesize(SynthSpec(n=3000, p=8, base_rate=0.2, effects=(1.0,) * 8,
+                          predictor_on_rates=(0.5,) * 8, seed=1))
+fit_boost_cv(ds, BoostConfig(interaction_depth=4, max_trees=400, cv_folds=2))
+"""
+
+
+def _running(pid: str) -> bool:
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return fields.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_sigkill_leaves_no_orphan_worker():
+    workers = min(3, len(os.sched_getaffinity(0)))  # 2 folds + the refit
+    if workers < 2:
+        pytest.skip("one usable CPU: the folds run in-process")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    child = subprocess.Popen([sys.executable, "-c", _CV_FIT], env=env)
+    children = Path(f"/proc/{child.pid}/task/{child.pid}/children")
+    pids: list[str] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < workers:
+            assert child.poll() is None, "the fit ended before its workers started"
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+            pids = children.read_text().split()
+    finally:
+        child.kill()  # SIGKILL
+        child.wait(timeout=60)
+    deadline = time.monotonic() + 5
+    alive = pids
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _running(pid)]
+    for pid in alive:  # do not leave them behind when the check fails
+        os.kill(int(pid), signal.SIGKILL)
+    assert alive == [], "workers outlived their killed parent"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_killed_worker_fails_the_fit_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+    ds = synthesize(SynthSpec(n=3000, p=8, base_rate=0.2, effects=(1.0,) * 8,
+                              predictor_on_rates=(0.5,) * 8, seed=1))
+    children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+    before = set(children.read_text().split())
+
+    def kill_a_worker():
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            workers = set(children.read_text().split()) - before
+            if workers:
+                os.kill(int(min(workers)), signal.SIGKILL)
+                return
+            time.sleep(0.01)
+
+    killer = threading.Thread(target=kill_a_worker)
+    killer.start()
+    with pytest.raises(BrokenProcessPool):
+        boosting.fit_boost_cv(ds, BoostConfig(interaction_depth=4, max_trees=400, cv_folds=2))
+    killer.join(timeout=60)
+    assert not killer.is_alive()
+    assert multiprocessing.active_children() == []

@@ -470,6 +470,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("run failed in stage 'split': ")
 
+    def test_failing_cv_fold_fails_boost_stage(self, tmp_path, capsys):
+        # With 2 folds each fold trains on about 225 of the 450 training
+        # rows, fewer than min_node; the full-data fit alone would run.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["boost"].update(cv_folds=2, min_node=300)
+        out = tmp_path / "fold"
+        path = write_config(tmp_path, doc)
+        assert main(
+            ["pipeline", "--config", str(path), "--output-dir", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "min_node=300 exceeds the" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "boost")
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["pipeline", "--nonsense"]) == 1
 
