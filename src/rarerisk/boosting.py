@@ -10,6 +10,13 @@ minimizers over all training rows they contain. Because every leaf value
 minimizes the convex per-leaf loss, a shrunken step can never increase the
 training deviance, so the recorded deviance curve is non-increasing by
 construction.
+
+Trees grow a level at a time: the level's nodes are packed into
+cache-sized Newton solves, and a candidate split whose deviance bounds
+after one Newton step show that it cannot win is not solved further. A
+recheck against the exact results, with a full solve as the fallback,
+keeps every tree bit-identical to solving each node's candidates in full,
+one node at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ _MARGIN_CLIP = 36.0  # sigmoid(36) is within 2e-16 of 1
 # many trees into one block of margins, at a time.
 _CHUNK_ROWS = 512
 _TREE_BLOCK = 128
+# Split search packs the nodes of a tree level into solves of at most this
+# many bag rows, so their matrices stay cache-sized.
+_PACK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -269,6 +279,13 @@ class BoostModel:
                 raise FitError("predictor_names length must equal n_predictors")
         if self.n_predictors < 1:
             raise FitError("n_predictors must be at least 1")
+        # json reads NaN and Infinity, and either would poison every margin.
+        if not math.isfinite(self.intercept):
+            raise FitError("intercept must be finite")
+        if not (math.isfinite(self.shrinkage) and self.shrinkage > 0):
+            raise FitError("shrinkage must be finite and positive")
+        if len(self.train_deviance) not in (0, len(self.trees)):
+            raise FitError("train_deviance length must be 0 or the tree count")
         if not 0 <= self.n_trees_used <= len(self.trees):
             raise FitError("n_trees_used must be between 0 and the tree count")
         if self.cv_curve is not None and len(self.cv_curve) != len(self.trees):
@@ -323,7 +340,12 @@ def _deviance_sum(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
 
 
 def _segment_optima(
-    seg: np.ndarray, n_seg: int, y: np.ndarray, w: np.ndarray, F: np.ndarray
+    seg: np.ndarray,
+    n_seg: int,
+    y: np.ndarray,
+    w: np.ndarray,
+    F: np.ndarray,
+    prune=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact leaf optima of many leaf problems at once.
 
@@ -341,6 +363,13 @@ def _segment_optima(
     loop would end after steps of at least 1. Once fewer than half the
     entries belong to moving problems, only theirs are kept, in order, so
     each problem's sums add the same terms in the same order.
+
+    prune, when given, is called once, after the first Newton step, as
+    prune(L, g, h, gamma): per problem, the weighted loss L at gamma, its
+    negative slope g and its curvature h. It returns a mask of problems to
+    stop. A stopped problem is not iterated again and its deviance is NaN.
+    No problem's path depends on another's, so every other problem gets
+    the bits it would get without the hook.
     """
 
     def sums(v: np.ndarray, at: np.ndarray = seg) -> np.ndarray:
@@ -351,15 +380,8 @@ def _segment_optima(
     # matters past sigmoid saturation.
     Fc = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None]
     E = np.exp(Fc)
-    wcol = w[:, None]
-    wt, wy = sums(wcol), sums(wcol * y[:, None])
-
-    def deviance(gamma: np.ndarray) -> np.ndarray:
-        # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
-        L = np.log1p(E * np.exp(gamma)[seg])
-        L -= y[:, None] * (Fc + gamma[seg])
-        L *= wcol
-        return 2.0 * sums(L)
+    wcol, ycol = w[:, None], y[:, None]
+    wt, wy = sums(wcol), sums(wcol * ycol)
 
     # Pure problems start where the plain loop ends: at the clip, reached
     # by steps g/h >= 1. That needs h > 1e-300 on the way (h is at least
@@ -373,29 +395,55 @@ def _segment_optima(
         gamma[heavy & (wy == wt)] = GAMMA_CLIP
     # A problem without weight has no curvature; it stays at 0.
     done = (gamma != 0.0) | (wt == 0.0)
+    stopped = np.zeros(n_seg, dtype=bool)
     count = np.bincount(seg.ravel(), minlength=n_seg)
     at, rows, Ea, wa = seg, None, E, wcol
-    for _ in range(80):
+    for it in range(80):
         if done.all():
             break
-        if 2 * count[~done].sum() < at.size:
+        hook = prune is not None and it == 1
+        # Up to the hook every problem keeps its entries, so it sees them all.
+        if (prune is None or it > 1) and 2 * count[~done].sum() < at.size:
             sel = np.flatnonzero(~done[at])
             rows = sel // seg.shape[1] if rows is None else rows[sel]
             at, Ea, wa = at.ravel()[sel], E[rows, 0], w[rows]
         S = Ea * np.exp(gamma)[at]
+        if hook:
+            # L = sum w (log1p(S) - y Fc) - gamma wy
+            L = np.log1p(S)
+            L *= wcol
+            L -= wcol * ycol * Fc
+            L = sums(L) - gamma * wy
         P = S / (1.0 + S)
         WP = np.multiply(wa, P, out=S)
         g = wy - sums(WP, at)
         h = sums(np.multiply(WP, np.subtract(1.0, P, out=P), out=P), at)
+        if hook:
+            stopped = prune(L, g, h, gamma)
+            done |= stopped
         # A problem without curvature, or done, gets no step.
         step = np.divide(g, h, out=np.zeros(n_seg), where=~done & (h > 1e-300))
         new = (gamma + step.clip(-_STEP_CLIP, _STEP_CLIP)).clip(-GAMMA_CLIP, GAMMA_CLIP)
         done |= np.abs(new - gamma) < 1e-12
         gamma = new
 
+    # Only the problems not stopped get a deviance, from their entries in order.
+    at, Ea, ya, Fa, wa = seg, E, ycol, Fc, wcol
+    if stopped.any():
+        sel = np.flatnonzero(~stopped[seg])
+        rows = sel // seg.shape[1]
+        at, Ea, ya, Fa, wa = seg.ravel()[sel], E[rows, 0], y[rows], Fc[rows, 0], w[rows]
+
+    def deviance(gamma: np.ndarray) -> np.ndarray:
+        # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
+        L = np.log1p(Ea * np.exp(gamma)[at])
+        L -= ya * (Fa + gamma[at])
+        L *= wa
+        return 2.0 * sums(L, at)
+
     # Safeguard: halve any gamma that loses to gamma = 0; zero it after 60.
     # At gamma = 0 every entry of a row holds the same term.
-    base = 2.0 * sums(wcol * (np.log1p(E) - y[:, None] * Fc))
+    base = 2.0 * sums(wa * (np.log1p(Ea) - ya * Fa), at)
     dev = deviance(gamma)
     for _ in range(60):
         worse = dev > base
@@ -405,7 +453,36 @@ def _segment_optima(
         dev = deviance(gamma)
     worse = dev > base
     gamma[worse] = 0.0
-    return gamma, np.where(worse, base, dev)
+    dev = np.where(worse, base, dev)
+    dev[stopped] = np.nan
+    return gamma, dev
+
+
+def _deviance_bounds(
+    L: np.ndarray, g: np.ndarray, h: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on each problem's least deviance over the clip.
+
+    L, -g and h are the problem's weighted loss and its first two
+    derivatives at gamma. Every row's loss phi has |phi'''| <= phi''
+    (generalized self-concordance; Bach, EJS 2010), so a step of t >= 0
+    downhill, as far as the clip, lands between L - a t + h (e^-t + t - 1)
+    and L - a t + h (e^t - t - 1), where a = |g|. The bounds are the least
+    values of these two curves.
+    """
+    a = np.abs(g)
+    reach = np.where(g > 0, GAMMA_CLIP - gamma, GAMMA_CLIP + gamma)
+    # The lower curve is least at t = -log(1 - a/h), the upper at
+    # t = log(1 + a/h), or at the clip where that is further.
+    inner = a < -h * np.expm1(-reach)
+    q = np.divide(a, h, out=np.zeros_like(a), where=inner)
+    d = np.where(inner, -np.log1p(-q), reach)
+    inner = a < h * np.expm1(reach)
+    q = np.divide(a, h, out=np.zeros_like(a), where=inner)
+    u = np.where(inner, np.log1p(q), reach)
+    lo = L - a * d + h * (np.expm1(-d) + d)
+    hi = L - a * u + h * (np.expm1(u) - u)
+    return 2.0 * lo, 2.0 * hi
 
 
 def _weights(y: np.ndarray, cost_ratio: float) -> np.ndarray:
@@ -416,35 +493,66 @@ def _weights(y: np.ndarray, cost_ratio: float) -> np.ndarray:
 # Tree growing
 
 
-def _candidate_split(
-    Xs: np.ndarray,
-    ys: np.ndarray,
-    ws: np.ndarray,
-    Fs: np.ndarray,
-    min_node: int,
-) -> np.ndarray:
-    """Exact deviance reduction of splitting this node on each predictor.
+def _best_splits(
+    Xg: np.ndarray,
+    yg: np.ndarray,
+    wg: np.ndarray,
+    Fg: np.ndarray,
+    sizes: list[int],
+    valid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split predictor and gain of each of K nodes packed into one solve.
 
-    Each child and the node itself are evaluated at their own optimal
-    log-odds increment. Candidates whose children do not both meet the
-    minimum node size get a gain of -inf.
+    The rows of node k are the k-th block of sizes[k] rows of Xg, yg, wg
+    and Fg, and valid[k, j] says whether both children of splitting node k
+    on predictor j meet the minimum node size. Problem k (2p + 1) + 2j + x
+    is side x of predictor j in node k, and problem k (2p + 1) + 2p is node
+    k as one leaf. The gain of a split is the node's deviance minus its
+    children's, each at its own optimum. The split predictor is the lowest
+    index whose gain is at least top - 1e-9 max(1, |top|), top being the
+    node's best gain, so float noise cannot decide between tied
+    predictors; it is -1 unless that gain exceeds 1e-12.
+
+    After the first Newton step, _deviance_bounds bounds every gain. A
+    candidate whose upper bound lies more than 1e-6 max(1, |best|) below
+    best, the largest lower bound in its node, is stopped, and so is every
+    invalid one. Once solved, each stopped candidate's upper bound, now
+    from the exact node deviance, is checked against the exact tie window;
+    if any could still reach it, the group is solved again in full.
     """
-    m, p = Xs.shape
-    n1 = Xs.sum(axis=0, dtype=np.int64)
-    valid = (n1 >= min_node) & (m - n1 >= min_node)
-    gains = np.full(p, -np.inf)
-    nv = int(valid.sum())
-    if nv == 0:
-        return gains
-    # Problem 2k + x is side x of the k-th valid candidate; problem 2 nv is
-    # the node as one leaf.
-    seg = np.empty((m, nv + 1), dtype=np.intp)
-    seg[:, :nv] = Xs[:, valid] + 2 * np.arange(nv)
-    seg[:, nv] = 2 * nv
-    _, dev = _segment_optima(seg, 2 * nv + 1, ys, ws, Fs)
-    sides = dev[:-1].reshape(nv, 2)
-    gains[valid] = dev[-1] - (sides[:, 0] + sides[:, 1])
-    return gains
+    K, p = valid.shape
+    width = 2 * p + 1
+    first = np.repeat(np.arange(0, K * width, width), sizes)  # per row
+    seg = np.empty((len(yg), p + 1), dtype=np.intp)
+    np.add(Xg, 2 * np.arange(p) + first[:, None], out=seg[:, :p])
+    seg[:, p] = first + 2 * p
+
+    def gains(sides: np.ndarray, node: np.ndarray) -> np.ndarray:
+        return node[:, None] - (sides[:, 0:-1:2] + sides[:, 1:-1:2])
+
+    live = valid.copy()  # the candidates solved to the end
+    lo = None
+
+    def prune(L, g, h, gamma):
+        nonlocal lo
+        lo, hi = (b.reshape(K, width) for b in _deviance_bounds(L, g, h, gamma))
+        best = np.where(valid, gains(hi, lo[:, -1]), -np.inf).max(axis=1, keepdims=True)
+        live[:] = valid & ~(gains(lo, hi[:, -1]) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
+        return np.pad(np.repeat(~live, 2, axis=1), ((0, 0), (0, 1))).ravel()
+
+    def solve(hook):
+        dev = _segment_optima(seg, K * width, yg, wg, Fg, hook)[1].reshape(K, width)
+        gain = np.where(live, gains(dev, dev[:, -1]), -np.inf)
+        top = gain.max(axis=1, keepdims=True)
+        return dev[:, -1], gain, top - 1e-9 * np.maximum(1.0, np.abs(top))
+
+    node_dev, gain, window = solve(prune)
+    if lo is not None and not (gains(lo, node_dev) < window)[valid & ~live].all():
+        live[:] = valid
+        node_dev, gain, window = solve(None)
+    j = np.argmax(gain >= window, axis=1)
+    best = gain[np.arange(K), j]
+    return np.where(best > 1e-12, j, -1), best
 
 
 def _grow_tree(
@@ -457,33 +565,69 @@ def _grow_tree(
 ) -> RegressionTree:
     """Grow one tree's splits on the bag; every value is 0 until refit.
 
-    A node splits on the lowest-index predictor whose gain is at least
-    top - 1e-9 * max(1, |top|), top being the best gain, so float noise
-    cannot decide between tied predictors; it stays a leaf unless that
-    gain exceeds 1e-12 (a node without valid candidates has top = -inf).
+    The tree grows a level at a time. The level's splittable nodes are
+    packed, in order, into groups of at most _PACK_ROWS rows (a larger
+    node goes alone), and each group is one _best_splits call. Node ids
+    and the deviance reductions are then assigned in depth-first order,
+    right child first, as one node at a time would assign them.
     """
+    min_node = config.min_node
+    frontier = [np.arange(len(yb))]
+    # levels[d][i] is (predictor, gain, index of its left child in level
+    # d + 1) for a split node i of level d, or None for a leaf.
+    levels = []
+    for _ in range(config.interaction_depth):
+        valid = {}  # node index in the level -> its valid candidates
+        for i, rows in enumerate(frontier):
+            if len(rows) >= 2 * min_node:
+                n1 = Xb[rows].sum(axis=0, dtype=np.int64)
+                ok = (n1 >= min_node) & (len(rows) - n1 >= min_node)
+                if ok.any():
+                    valid[i] = ok
+        groups, size = [], _PACK_ROWS
+        for i in valid:
+            if size + len(frontier[i]) > _PACK_ROWS:
+                groups.append([])
+                size = 0
+            groups[-1].append(i)
+            size += len(frontier[i])
+        splits = [None] * len(frontier)
+        for group in groups:
+            rows = np.concatenate([frontier[i] for i in group])
+            sizes = [len(frontier[i]) for i in group]
+            ok = np.array([valid[i] for i in group])
+            js, best = _best_splits(Xb[rows], yb[rows], wb[rows], Fb[rows], sizes, ok)
+            for i, j, gain in zip(group, js.tolist(), best.tolist()):
+                if j >= 0:
+                    splits[i] = (j, gain)
+        nxt = []
+        for i, rows in enumerate(frontier):
+            if splits[i] is not None:
+                j, gain = splits[i]
+                splits[i] = (j, gain, len(nxt))
+                mask = Xb[rows, j] == 1
+                nxt += [rows[~mask], rows[mask]]
+        levels.append(splits)
+        frontier = nxt
+        if not frontier:
+            break
+
     feature, left, right = [-1], [-1], [-1]
     reduction = np.zeros(p)
-    # (node id, row indices into the bag, depth)
-    stack = [(0, np.arange(len(yb)), 0)]
+    stack = [(0, 0, 0)]  # (node id, level, index in level)
     while stack:
-        node, rows, depth = stack.pop()
-        if depth >= config.interaction_depth or len(rows) < 2 * config.min_node:
+        node, d, i = stack.pop()
+        if d == len(levels) or levels[d][i] is None:
             continue
-        gains = _candidate_split(Xb[rows], yb[rows], wb[rows], Fb[rows], config.min_node)
-        top = gains.max()
-        j = int(np.argmax(gains >= top - 1e-9 * max(1.0, abs(top))))
-        if not gains[j] > 1e-12:
-            continue
-        reduction[j] += gains[j]
+        j, gain, c = levels[d][i]
+        reduction[j] += gain
         feature[node] = j
         left[node], right[node] = len(feature), len(feature) + 1
         feature += [-1, -1]
         left += [-1, -1]
         right += [-1, -1]
-        mask = Xb[rows, j] == 1
-        stack.append((left[node], rows[~mask], depth + 1))
-        stack.append((right[node], rows[mask], depth + 1))
+        stack.append((left[node], d + 1, c))
+        stack.append((right[node], d + 1, c + 1))
 
     return RegressionTree(feature, left, right, np.zeros(len(feature)), reduction)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import multiprocessing
 import time
@@ -358,6 +359,56 @@ class TestSegmentOptima:
         F = rng.normal(centre, spread, m)
         assert_solver_matches_reference(seg, n_seg + 2 * pure_columns, y, w, F)
 
+    @given(
+        m=st.integers(1, 40),
+        k=st.integers(1, 3),
+        n_seg=st.integers(1, 12),
+        prevalence=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        cost_ratio=st.sampled_from([0.1, 10.0, 3e8]),
+        centre=st.floats(-60.0, 60.0),
+        spread=st.sampled_from([0.0, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stopped_problems_leave_the_rest_unchanged(
+        self, m, k, n_seg, prevalence, cost_ratio, centre, spread, seed
+    ):
+        # The hook sees each problem's loss, slope and curvature at its
+        # first step; the problems it does not stop keep the plain loop's
+        # bits, and the stopped ones come back with a NaN deviance.
+        rng = np.random.default_rng(seed)
+        y = (rng.random(m) < prevalence).astype(np.float64)
+        seg = rng.integers(0, n_seg, size=(m, k))
+        w = boosting._weights(y, cost_ratio)
+        F = rng.normal(centre, spread, m)
+        stop = rng.random(n_seg) < 0.5
+        seen = []
+
+        def prune(L, g, h, gamma):
+            z = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None] + gamma[seg]
+            P = expit(z)
+            yc = y[:, None]
+            # Each sum is checked to rounding in its largest terms.
+            for got, terms, size in [
+                (L, np.logaddexp(0.0, z) - yc * z, np.logaddexp(0.0, z) + yc * np.abs(z)),
+                (g, yc - P, yc + P),
+                (h, P * (1.0 - P), P),
+            ]:
+                want, scale = (
+                    np.bincount(seg.ravel(), (w[:, None] * v).ravel(), n_seg)
+                    for v in (terms, size)
+                )
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            seen.append(True)
+            return stop
+
+        gamma_ref, dev_ref = _reference_segment_optima(seg, n_seg, y, w, F)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gamma, dev = boosting._segment_optima(seg, n_seg, y, w, F, prune)
+        keep = ~stop if seen else np.ones(n_seg, bool)
+        assert np.array_equal(gamma[keep], gamma_ref[keep])
+        assert np.array_equal(dev[keep], dev_ref[keep])
+        assert np.isnan(dev[~keep]).all()
+
     def test_pure_majority_is_dropped_at_once(self):
         # Two of three columns are pure and start done, so the first
         # iteration already runs on the third column's entries only. Their
@@ -428,6 +479,205 @@ class TestSegmentOptima:
         gamma, _ = assert_solver_matches_reference(leaf[:, None], 7, y, w, F)
         assert np.array_equal(gamma[:3], np.zeros(3))
         assert gamma[6] == -GAMMA_CLIP
+
+
+# ---------------------------------------------------------------------------
+# Split search oracle: one node at a time, depth first, every candidate
+# solved to the end by the plain loop. _grow_tree must give its trees bit
+# for bit.
+
+
+def _reference_candidate_split(Xs, ys, ws, Fs, min_node):
+    m, p = Xs.shape
+    n1 = Xs.sum(axis=0, dtype=np.int64)
+    valid = (n1 >= min_node) & (m - n1 >= min_node)
+    gains = np.full(p, -np.inf)
+    nv = int(valid.sum())
+    if nv == 0:
+        return gains
+    seg = np.empty((m, nv + 1), dtype=np.intp)
+    seg[:, :nv] = Xs[:, valid] + 2 * np.arange(nv)
+    seg[:, nv] = 2 * nv
+    _, dev = _reference_segment_optima(seg, 2 * nv + 1, ys, ws, Fs)
+    sides = dev[:-1].reshape(nv, 2)
+    gains[valid] = dev[-1] - (sides[:, 0] + sides[:, 1])
+    return gains
+
+
+def _reference_grow_tree(Xb, yb, wb, Fb, config, p):
+    feature, left, right = [-1], [-1], [-1]
+    reduction = np.zeros(p)
+    stack = [(0, np.arange(len(yb)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if depth >= config.interaction_depth or len(rows) < 2 * config.min_node:
+            continue
+        gains = _reference_candidate_split(
+            Xb[rows], yb[rows], wb[rows], Fb[rows], config.min_node
+        )
+        top = gains.max()
+        j = int(np.argmax(gains >= top - 1e-9 * max(1.0, abs(top))))
+        if not gains[j] > 1e-12:
+            continue
+        reduction[j] += gains[j]
+        feature[node] = j
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        left += [-1, -1]
+        right += [-1, -1]
+        mask = Xb[rows, j] == 1
+        stack.append((left[node], rows[~mask], depth + 1))
+        stack.append((right[node], rows[mask], depth + 1))
+    return RegressionTree(feature, left, right, np.zeros(len(feature)), reduction)
+
+
+def tie_data(seed, n=1200, p=9, base_rate=0.08):
+    """Planted signal on columns 0, 2 and 5. Column 1 duplicates column 0
+    (exact ties), column 3 is column 2 with one row flipped (near-ties),
+    and column 4 is constant."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, p)) < 0.5).astype(np.uint8)
+    X[:, 1] = X[:, 0]
+    X[:, 3] = X[:, 2]
+    X[rng.integers(n), 3] ^= 1
+    X[:, 4] = 0
+    eta = logit(base_rate) + X[:, [0, 2, 5]] @ np.array([1.0, 0.8, 0.6])
+    y = (rng.random(n) < expit(eta)).astype(np.uint8)
+    return binary_dataset(X, y)
+
+
+class SolverSpy:
+    """Wraps _segment_optima and records, per call, whether it was pruned
+    and the deviances it returned."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.real = boosting._segment_optima
+        monkeypatch.setattr(boosting, "_segment_optima", self)
+
+    def __call__(self, seg, n_seg, y, w, F, prune=None):
+        out = self.real(seg, n_seg, y, w, F, prune)
+        self.calls.append((prune is not None, seg.shape[1], out[1]))
+        return out
+
+    @property
+    def stopped(self):
+        return sum(int(np.isnan(dev).sum()) for pruned, _, dev in self.calls if pruned)
+
+    @property
+    def fallbacks(self):
+        # The leaf refit passes one column; a split search without the hook
+        # is a group solved again.
+        return sum(not pruned and k > 1 for pruned, k, _ in self.calls)
+
+
+def assert_trees_match_oracle(ds, cfg, monkeypatch):
+    got = fit_boost(ds, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(boosting, "_grow_tree", _reference_grow_tree)
+        want = fit_boost(ds, cfg)
+    for a, b in zip(got.trees, want.trees, strict=True):
+        for name in ("feature", "left", "right", "value", "deviance_reduction"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(got.train_deviance, want.train_deviance)
+    return got
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trees_match_node_by_node_search(self, depth, seed, monkeypatch):
+        spy = SolverSpy(monkeypatch)
+        cfg = small_config(interaction_depth=depth, min_node=4, max_trees=4,
+                           cost_ratio=10.0, seed=seed)
+        assert_trees_match_oracle(tie_data(seed), cfg, monkeypatch)
+        assert spy.stopped > 0
+        assert spy.fallbacks == 0
+
+    def test_nodes_just_above_twice_min_node(self, monkeypatch):
+        # min_node 30 on 400 rows leaves many nodes of 60-80 rows, where
+        # only a few candidates are valid, and pure nodes at a 3 % base rate.
+        cfg = small_config(interaction_depth=10, min_node=30, max_trees=6,
+                           bag_fraction=1.0, cost_ratio=20.0)
+        assert_trees_match_oracle(tie_data(3, n=400, base_rate=0.03), cfg, monkeypatch)
+
+    def test_pure_and_tiny_nodes(self, monkeypatch):
+        # min_node 1: nodes split down to single rows and pure leaves.
+        cfg = small_config(interaction_depth=10, min_node=1, max_trees=3)
+        assert_trees_match_oracle(tie_data(4, n=150, base_rate=0.2), cfg, monkeypatch)
+
+    def test_bag_larger_than_a_pack(self, monkeypatch):
+        # The root goes alone, and level 1 needs two calls.
+        spy = SolverSpy(monkeypatch)
+        cfg = small_config(interaction_depth=3, min_node=10, max_trees=2)
+        ds = tie_data(5, n=9000, p=6)
+        assert int(cfg.bag_fraction * ds.n) > boosting._PACK_ROWS
+        assert_trees_match_oracle(ds, cfg, monkeypatch)
+        assert spy.fallbacks == 0
+
+    @pytest.mark.parametrize("pack", [1, 50, 700])
+    def test_any_packing_gives_the_same_tree(self, pack, monkeypatch):
+        monkeypatch.setattr(boosting, "_PACK_ROWS", pack)
+        cfg = small_config(interaction_depth=10, min_node=3, max_trees=3)
+        assert_trees_match_oracle(tie_data(6), cfg, monkeypatch)
+
+    def test_wrong_bounds_take_the_fallback(self, monkeypatch):
+        # Swapped bounds claim every candidate is far behind some other one,
+        # so winners get stopped; the recheck must solve those groups again.
+        real = boosting._deviance_bounds
+        monkeypatch.setattr(
+            boosting, "_deviance_bounds", lambda *a: real(*a)[::-1]
+        )
+        spy = SolverSpy(monkeypatch)
+        ds = tie_data(7)
+        cfg = small_config(interaction_depth=6, min_node=4, max_trees=1,
+                           bag_fraction=1.0, cost_ratio=10.0)
+        y = ds.y.astype(np.float64)
+        w = boosting._weights(y, cfg.cost_ratio)
+        F = np.full(ds.n, logit(np.dot(w, y) / w.sum()))
+        tree = boosting._grow_tree(ds.X, y, w, F, cfg, ds.p)
+        want = _reference_grow_tree(ds.X, y, w, F, cfg, ds.p)
+        for name in ("feature", "left", "right", "deviance_reduction"):
+            assert np.array_equal(getattr(tree, name), getattr(want, name)), name
+        assert tree.n_nodes > 15
+        assert spy.fallbacks > 0
+        # Some node had every candidate stopped, its winner included.
+        width = 2 * ds.p + 1
+        assert any(
+            np.isnan(dev.reshape(-1, width)[:, :-1]).all(axis=1).any()
+            for pruned, _, dev in spy.calls if pruned
+        )
+
+
+class TestDevianceBounds:
+    @given(
+        m=st.integers(1, 30),
+        prevalence=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        cost_ratio=st.sampled_from([1e-3, 10.0, 3e8]),
+        centre=st.floats(-60.0, 60.0),
+        spread=st.sampled_from([0.0, 1.0, 30.0]),
+        start=st.floats(-GAMMA_CLIP, GAMMA_CLIP),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_bracket_the_optimum(
+        self, m, prevalence, cost_ratio, centre, spread, start, seed
+    ):
+        # Bounds taken at any start bracket the solver's deviance, and the
+        # arithmetic neither overflows nor divides 0 by 0.
+        rng = np.random.default_rng(seed)
+        y = (rng.random(m) < prevalence).astype(np.float64)
+        w = boosting._weights(y, cost_ratio)
+        F = np.clip(rng.normal(centre, spread, m), -_MARGIN_CLIP, _MARGIN_CLIP)
+        _, (dev,) = boosting._segment_optima(np.zeros((m, 1), np.intp), 1, y, w, F)
+        P = expit(F + start)
+        L = np.array([np.sum(w * (np.logaddexp(0.0, F + start) - y * (F + start)))])
+        g = np.array([np.sum(w * (y - P))])
+        h = np.array([np.sum(w * P * (1.0 - P))])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lo, hi = boosting._deviance_bounds(L, g, h, np.array([start]))
+        slack = 1e-9 * max(1.0, abs(dev))
+        assert lo[0] <= dev + slack
+        assert dev <= hi[0] + slack
 
 
 class TestTopology:
@@ -843,6 +1093,29 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(FitError):
             model_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("intercept", "NaN"),
+            ("intercept", "-Infinity"),
+            ("shrinkage", "Infinity"),
+            ("shrinkage", "NaN"),
+            ("shrinkage", "-0.1"),
+            ("shrinkage", "0.0"),
+            ("train_deviance", "[0.5]"),
+        ],
+    )
+    def test_rejects_corrupt_values(self, key, value, tmp_path):
+        # json reads NaN and Infinity; such a model used to load and
+        # predict NaN everywhere.
+        m = fit_boost(synth(n=300, seed=18), small_config(max_trees=2))
+        doc = model_to_dict(m)
+        doc[key] = "@"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"@"', value), "utf-8")
+        with pytest.raises(FitError, match=key):
+            load_model(path)
 
     def test_predictor_names_round_trip(self):
         base = synth(n=300, p=3, seed=19)

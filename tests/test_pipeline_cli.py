@@ -547,6 +547,22 @@ def _cyclic_model(tmp):
             "--trace-out", str(tmp / "trace")]
 
 
+def _negative_shrinkage_model(tmp):
+    # Such a model used to load, and evolve searched it as if it were valid.
+    path = write_config(tmp)
+    model = tmp / "model.json"
+    tree = {"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1],
+            "value": [0.0, -1.0, 1.0], "deviance_reduction": [1.0] + [0.0] * 7}
+    doc = {"format": "rarerisk.boost_model", "version": 1, "intercept": 0.0,
+           "shrinkage": -0.1, "n_trees_used": 1, "n_predictors": 8,
+           "config": {}, "train_deviance": [0.5], "cv_curve": None,
+           "trees": [tree]}
+    model.write_text(json.dumps(doc), "utf-8")
+    return ["evolve", "--config", str(path), "--model", str(model),
+            "--population-out", str(tmp / "pop.csv"),
+            "--trace-out", str(tmp / "trace")]
+
+
 def _manifest_not_json(tmp):
     (tmp / "manifest.json").write_text("{not json", encoding="utf-8")
     return ["report", "--run-dir", str(tmp)]
@@ -600,6 +616,7 @@ def _population_not_numeric(tmp):
         (_truncated_model, 2),
         (_model_missing_keys, 2),
         (_cyclic_model, 2),
+        (_negative_shrinkage_model, 2),
         (_manifest_not_json, 1),
         (_manifest_missing_keys, 1),
         (_population_not_numeric, 2),
