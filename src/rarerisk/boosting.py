@@ -12,11 +12,13 @@ training deviance, so the recorded deviance curve is non-increasing by
 construction.
 
 Trees grow a level at a time: the level's nodes are packed into
-cache-sized Newton solves, and a candidate split whose deviance bounds
-after one Newton step show that it cannot win is not solved further. A
-recheck against the exact results, with a full solve as the fallback,
-keeps every tree bit-identical to solving each node's candidates in full,
-one node at a time.
+cache-sized Newton solves, and a candidate split whose deviance bounds, at
+the start or after one Newton step, show that it cannot win is not solved
+further. A recheck against the exact results, with a full solve as the
+fallback, keeps every tree bit-identical to solving each node's candidates
+in full, one node at a time. Within a solve, the first step is summed from
+per-row terms, and a problem whose iterates repeat exactly ends at once on
+the iterate the iteration cap would leave it at.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ _TREE_BLOCK = 128
 # Split search packs the nodes of a tree level into solves of at most this
 # many bag rows, so their matrices stay cache-sized.
 _PACK_ROWS = 4096
+# Damped Newton stops after this many steps.
+_NEWTON_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -360,16 +364,26 @@ def _segment_optima(
     Only problems still moving are iterated, and the result equals the
     plain loop over every entry bit for bit. A pure problem (no weighted
     positives, or no weighted negatives) starts at the clip, where the
-    loop would end after steps of at least 1. Once fewer than half the
-    entries belong to moving problems, only theirs are kept, in order, so
-    each problem's sums add the same terms in the same order.
+    loop would end after steps of at least 1. Every other problem starts
+    at gamma = 0, where all entries of a row hold the same terms, so the
+    first step and the loss there are sums of per-row vectors. Once fewer
+    than half the entries belong to moving problems, only theirs are kept,
+    in order, so each problem's sums add the same terms in the same order.
+    A problem's next iterate is thus a fixed function of its gamma: one
+    that repeats, bit for bit, its iterate from 2 to 4 steps before is in
+    a cycle, and it ends at once on the iterate that the cap of
+    _NEWTON_ITERS steps would leave it at.
 
-    prune, when given, is called once, after the first Newton step, as
-    prune(L, g, h, gamma): per problem, the weighted loss L at gamma, its
-    negative slope g and its curvature h. It returns a mask of problems to
-    stop. A stopped problem is not iterated again and its deviance is NaN.
-    No problem's path depends on another's, so every other problem gets
-    the bits it would get without the hook.
+    prune, when given, is called at the start as prune(L, g, h, gamma,
+    fresh), and again after the first Newton step if any problem is still
+    moving. L, g and h are per problem the weighted loss at gamma, its
+    negative slope and its curvature; fresh marks the problems they hold
+    for: all of them at the start (a problem started at the clip is summed
+    from its own entries there), and those not yet done after the step.
+    It returns a mask of problems to stop. A stopped problem is not
+    iterated again and its deviance is NaN. No problem's path depends on
+    another's, so every other problem gets the bits it would get without
+    the hook.
     """
 
     def sums(v: np.ndarray, at: np.ndarray = seg) -> np.ndarray:
@@ -378,10 +392,30 @@ def _segment_optima(
     # sigma(F+gamma) is formed as E*t/(1+E*t) with E = exp(F) cached, so
     # the iterations are exp-free in the data dimension. Clipping F only
     # matters past sigmoid saturation.
-    Fc = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None]
-    E = np.exp(Fc)
-    wcol, ycol = w[:, None], y[:, None]
+    Fr = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)
+    Er = np.exp(Fr)
+    Fc, E, wcol, ycol = Fr[:, None], Er[:, None], w[:, None], y[:, None]
     wt, wy = sums(wcol), sums(wcol * ycol)
+
+    def entry_sums(at, rows, Ea, wa, loss=False):
+        # The loss at gamma (if asked for), its negative slope and its
+        # curvature, summed over the entries at of the rows rows (every
+        # entry of seg when rows is None); Ea and wa are E and w per entry.
+        S = Ea * np.exp(gamma)[at]
+        L = None
+        if loss:
+            ya, Fa = (ycol, Fc) if rows is None else (y[rows], Fr[rows])
+            L = np.log1p(S)
+            z = gamma[at]
+            z += Fa
+            z *= ya
+            L -= z
+            L = sums(np.multiply(L, wa, out=L), at)
+        P = np.add(S, 1.0)
+        P = np.divide(S, P, out=P)
+        WP = np.multiply(wa, P, out=S)
+        g = wy - sums(WP, at)
+        return L, g, sums(np.multiply(WP, np.subtract(1.0, P, out=P), out=P), at)
 
     # Pure problems start where the plain loop ends: at the clip, reached
     # by steps g/h >= 1. That needs h > 1e-300 on the way (h is at least
@@ -390,41 +424,62 @@ def _segment_optima(
     # keeps (1 - P)^2 >= 4 (entries + 1) eps at +GAMMA_CLIP.
     heavy = wt > 1e-250
     gamma = np.where(heavy & (wy == 0.0), -GAMMA_CLIP, 0.0)
-    top = Fc[y == 1].max(initial=-_MARGIN_CLIP) + GAMMA_CLIP
+    top = Fr[y == 1].max(initial=-_MARGIN_CLIP) + GAMMA_CLIP
     if (1.0 + np.exp(top)) ** -2 >= 4 * (seg.size + 1) * np.finfo(float).eps:
         gamma[heavy & (wy == wt)] = GAMMA_CLIP
     # A problem without weight has no curvature; it stays at 0.
     done = (gamma != 0.0) | (wt == 0.0)
     stopped = np.zeros(n_seg, dtype=bool)
     count = np.bincount(seg.ravel(), minlength=n_seg)
+
+    # At gamma = 0 the per-row terms are the per-entry terms of the plain
+    # loop, so these sums add the same numbers in the same order. L0 is
+    # also the safeguard's base.
+    P = E / (1.0 + E)
+    WP = wcol * P
+    L0 = sums(wcol * (np.log1p(E) - ycol * Fc))
+    g, h = wy - sums(WP), sums(WP * (1.0 - P))
+    if prune is not None:
+        L, gs, hs = L0, g, h
+        clip = gamma != 0.0
+        if clip.any():
+            # A problem started at the clip is summed from its own entries
+            # there; which rows it holds says nothing certain of its sign.
+            sel = np.flatnonzero(clip[seg])
+            rows = sel // seg.shape[1]
+            Lc, gc, hc = entry_sums(seg.ravel()[sel], rows, Er[rows], w[rows], True)
+            L, gs, hs = (np.where(clip, c, v) for c, v in ((Lc, L), (gc, g), (hc, h)))
+        stopped = prune(L, gs, hs, gamma, np.ones(n_seg, dtype=bool))
+        done |= stopped
+
     at, rows, Ea, wa = seg, None, E, wcol
-    for it in range(80):
+    ring = np.empty((4, n_seg))  # iterate it of each problem in row it % 4
+    for it in range(_NEWTON_ITERS):
         if done.all():
             break
-        hook = prune is not None and it == 1
-        # Up to the hook every problem keeps its entries, so it sees them all.
-        if (prune is None or it > 1) and 2 * count[~done].sum() < at.size:
-            sel = np.flatnonzero(~done[at])
-            rows = sel // seg.shape[1] if rows is None else rows[sel]
-            at, Ea, wa = at.ravel()[sel], E[rows, 0], w[rows]
-        S = Ea * np.exp(gamma)[at]
-        if hook:
-            # L = sum w (log1p(S) - y Fc) - gamma wy
-            L = np.log1p(S)
-            L *= wcol
-            L -= wcol * ycol * Fc
-            L = sums(L) - gamma * wy
-        P = S / (1.0 + S)
-        WP = np.multiply(wa, P, out=S)
-        g = wy - sums(WP, at)
-        h = sums(np.multiply(WP, np.subtract(1.0, P, out=P), out=P), at)
-        if hook:
-            stopped = prune(L, g, h, gamma)
-            done |= stopped
+        if it > 0:
+            if 2 * count[~done].sum() < at.size:
+                sel = np.flatnonzero(~done[at])
+                rows = sel // seg.shape[1] if rows is None else rows[sel]
+                at, Ea, wa = at.ravel()[sel], Er[rows], w[rows]
+            hook = prune is not None and it == 1
+            L, g, h = entry_sums(at, rows, Ea, wa, hook)
+            if hook:
+                stopped |= prune(L, g, h, gamma, ~done)
+                done |= stopped
         # A problem without curvature, or done, gets no step.
         step = np.divide(g, h, out=np.zeros(n_seg), where=~done & (h > 1e-300))
         new = (gamma + step.clip(-_STEP_CLIP, _STEP_CLIP)).clip(-GAMMA_CLIP, GAMMA_CLIP)
         done |= np.abs(new - gamma) < 1e-12
+        # new is iterate it + 1. Equal to iterate it + 1 - k, it repeats the
+        # last k iterates until the cap, which leaves it at the one below.
+        ring[it % 4] = gamma
+        bits, past = new.view(np.int64), ring.view(np.int64)
+        for k in range(2, min(it + 1, 4) + 1):
+            cyc = ~done & (bits == past[(it + 1 - k) % 4])
+            if cyc.any():
+                new[cyc] = ring[(it + 1 - k + (_NEWTON_ITERS - 1 - it) % k) % 4, cyc]
+                done |= cyc
         gamma = new
 
     # Only the problems not stopped get a deviance, from their entries in order.
@@ -432,7 +487,7 @@ def _segment_optima(
     if stopped.any():
         sel = np.flatnonzero(~stopped[seg])
         rows = sel // seg.shape[1]
-        at, Ea, ya, Fa, wa = seg.ravel()[sel], E[rows, 0], y[rows], Fc[rows, 0], w[rows]
+        at, Ea, ya, Fa, wa = seg.ravel()[sel], Er[rows], y[rows], Fr[rows], w[rows]
 
     def deviance(gamma: np.ndarray) -> np.ndarray:
         # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
@@ -442,8 +497,8 @@ def _segment_optima(
         return 2.0 * sums(L, at)
 
     # Safeguard: halve any gamma that loses to gamma = 0; zero it after 60.
-    # At gamma = 0 every entry of a row holds the same term.
-    base = 2.0 * sums(wa * (np.log1p(Ea) - ya * Fa), at)
+    # A stopped problem has no entries here and is never worse.
+    base = np.where(stopped, np.inf, 2.0 * L0)
     dev = deviance(gamma)
     for _ in range(60):
         worse = dev > base
@@ -498,7 +553,7 @@ def _best_splits(
     yg: np.ndarray,
     wg: np.ndarray,
     Fg: np.ndarray,
-    sizes: list[int],
+    sizes: np.ndarray,
     valid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split predictor and gain of each of K nodes packed into one solve.
@@ -513,7 +568,8 @@ def _best_splits(
     node's best gain, so float noise cannot decide between tied
     predictors; it is -1 unless that gain exceeds 1e-12.
 
-    After the first Newton step, _deviance_bounds bounds every gain. A
+    At the start and again after the first Newton step, _deviance_bounds
+    bounds every gain, each time within the bounds found before. A
     candidate whose upper bound lies more than 1e-6 max(1, |best|) below
     best, the largest lower bound in its node, is stopped, and so is every
     invalid one. Once solved, each stopped candidate's upper bound, now
@@ -531,13 +587,18 @@ def _best_splits(
         return node[:, None] - (sides[:, 0:-1:2] + sides[:, 1:-1:2])
 
     live = valid.copy()  # the candidates solved to the end
-    lo = None
+    lo = hi = None
 
-    def prune(L, g, h, gamma):
-        nonlocal lo
-        lo, hi = (b.reshape(K, width) for b in _deviance_bounds(L, g, h, gamma))
+    def prune(L, g, h, gamma, fresh):
+        # Each call's bounds hold, so they are intersected: a stopped
+        # candidate stays stopped.
+        nonlocal lo, hi
+        l, u = (b.reshape(K, width) for b in _deviance_bounds(L, g, h, gamma))
+        fresh = fresh.reshape(K, width)
+        lo = l if lo is None else np.where(fresh, np.maximum(lo, l), lo)
+        hi = u if hi is None else np.where(fresh, np.minimum(hi, u), hi)
         best = np.where(valid, gains(hi, lo[:, -1]), -np.inf).max(axis=1, keepdims=True)
-        live[:] = valid & ~(gains(lo, hi[:, -1]) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
+        live[:] &= ~(gains(lo, hi[:, -1]) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
         return np.pad(np.repeat(~live, 2, axis=1), ((0, 0), (0, 1))).ravel()
 
     def solve(hook):
@@ -565,61 +626,69 @@ def _grow_tree(
 ) -> RegressionTree:
     """Grow one tree's splits on the bag; every value is 0 until refit.
 
-    The tree grows a level at a time. The level's splittable nodes are
-    packed, in order, into groups of at most _PACK_ROWS rows (a larger
-    node goes alone), and each group is one _best_splits call. Node ids
-    and the deviance reductions are then assigned in depth-first order,
-    right child first, as one node at a time would assign them.
+    The tree grows a level at a time. One row order per level holds the
+    rows of its splittable nodes, grouped by node in level order. These
+    nodes are packed, in order, into groups of at most _PACK_ROWS rows (a
+    larger node goes alone), and each group, a slice of the order, is one
+    _best_splits call. Node ids and the deviance reductions are then
+    assigned in depth-first order, right child first, as one node at a
+    time would assign them.
     """
     min_node = config.min_node
-    frontier = [np.arange(len(yb))]
-    # levels[d][i] is (predictor, gain, index of its left child in level
-    # d + 1) for a split node i of level d, or None for a leaf.
+    # The level's node count, and the row count and the rows of each of
+    # its nodes (in level order) or, once filtered, of its splittable ones.
+    n_level, sizes, order = 1, np.array([len(yb)]), np.arange(len(yb))
+    # levels[d] is (predictor, gain, index of the left child in level
+    # d + 1) per node of level d; the predictor is -1 at a leaf.
     levels = []
     for _ in range(config.interaction_depth):
-        valid = {}  # node index in the level -> its valid candidates
-        for i, rows in enumerate(frontier):
-            if len(rows) >= 2 * min_node:
-                n1 = Xb[rows].sum(axis=0, dtype=np.int64)
-                ok = (n1 >= min_node) & (len(rows) - n1 >= min_node)
-                if ok.any():
-                    valid[i] = ok
-        groups, size = [], _PACK_ROWS
-        for i in valid:
-            if size + len(frontier[i]) > _PACK_ROWS:
-                groups.append([])
-                size = 0
-            groups[-1].append(i)
-            size += len(frontier[i])
-        splits = [None] * len(frontier)
-        for group in groups:
-            rows = np.concatenate([frontier[i] for i in group])
-            sizes = [len(frontier[i]) for i in group]
-            ok = np.array([valid[i] for i in group])
-            js, best = _best_splits(Xb[rows], yb[rows], wb[rows], Fb[rows], sizes, ok)
-            for i, j, gain in zip(group, js.tolist(), best.tolist()):
-                if j >= 0:
-                    splits[i] = (j, gain)
-        nxt = []
-        for i, rows in enumerate(frontier):
-            if splits[i] is not None:
-                j, gain = splits[i]
-                splits[i] = (j, gain, len(nxt))
-                mask = Xb[rows, j] == 1
-                nxt += [rows[~mask], rows[mask]]
-        levels.append(splits)
-        frontier = nxt
-        if not frontier:
+        Xo = Xb[order]
+        n1 = np.add.reduceat(Xo, np.cumsum(sizes) - sizes, axis=0, dtype=np.int64)
+        valid = (n1 >= min_node) & (sizes[:, None] - n1 >= min_node)
+        splittable = valid.any(axis=1)
+        idx = np.flatnonzero(splittable)
+        if len(idx) < n_level:
+            rows = np.repeat(splittable, sizes)
+            Xo, order = Xo[rows], order[rows]
+            sizes, n1, valid = sizes[idx], n1[idx], valid[idx]
+        yo, wo, Fo = yb[order], wb[order], Fb[order]
+        js, best = np.empty(len(idx), np.intp), np.empty(len(idx))
+        ends = np.cumsum(sizes).tolist()
+        a = 0  # the first node of the open group
+        for b in range(1, len(idx) + 1):
+            r0 = ends[a - 1] if a else 0
+            if b == len(idx) or ends[b] - r0 > _PACK_ROWS:
+                r1 = ends[b - 1]
+                js[a:b], best[a:b] = _best_splits(
+                    Xo[r0:r1], yo[r0:r1], wo[r0:r1], Fo[r0:r1], sizes[a:b], valid[a:b]
+                )
+                a = b
+        split = js >= 0
+        n_split = int(split.sum())
+        feature, gain, child = np.full(n_level, -1), np.zeros(n_level), np.full(n_level, -1)
+        feature[idx[split]] = js[split]
+        gain[idx[split]] = best[split]
+        child[idx[split]] = np.arange(0, 2 * n_split, 2)
+        levels.append((feature.tolist(), gain.tolist(), child.tolist()))
+        if not n_split:
             break
+        # Side x of the r-th split node is node 2r + x of the next level.
+        # A stable sort on that keeps each child's rows in bag order.
+        rows = np.repeat(split, sizes)
+        js, sizes, n1 = js[split], sizes[split], n1[split]
+        key = np.repeat(np.arange(0, 2 * n_split, 2), sizes) + Xo[rows, np.repeat(js, sizes)]
+        order = order[rows][np.argsort(key, kind="stable")]
+        right = n1[np.arange(n_split), js]
+        n_level, sizes = 2 * n_split, np.column_stack([sizes - right, right]).ravel()
 
     feature, left, right = [-1], [-1], [-1]
     reduction = np.zeros(p)
     stack = [(0, 0, 0)]  # (node id, level, index in level)
     while stack:
         node, d, i = stack.pop()
-        if d == len(levels) or levels[d][i] is None:
+        if d == len(levels) or levels[d][0][i] < 0:
             continue
-        j, gain, c = levels[d][i]
+        j, gain, c = (column[i] for column in levels[d])
         reduction[j] += gain
         feature[node] = j
         left[node], right[node] = len(feature), len(feature) + 1

@@ -14,7 +14,7 @@ from . import __version__, boosting, clustering, genetic
 from . import pipeline as pipeline_mod
 from . import reports
 from .dataset import load_csv, split_train_test, synthesize, write_csv
-from .errors import ConfigError, RareRiskError, StageError
+from .errors import ClusteringError, ConfigError, RareRiskError, StageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -22,6 +22,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+
+def _count(text: str) -> int:
+    """An integer of at least 1, for argparse."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--svg-out", required=True)
     p.add_argument("--newick-out")
-    p.add_argument("--k", type=int, help="also print a k-cluster partition")
+    p.add_argument("--k", type=_count, help="also print a k-cluster partition")
 
     p = sub.add_parser("report", help="verify a run directory's manifest")
     p.add_argument("--run-dir", required=True)
@@ -183,6 +194,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_cluster(args) -> int:
     pop, names = genetic.load_population_csv(args.population)
+    # Checked before the figure is written or anything is printed.
+    if args.k is not None and args.k > len(names):
+        raise ClusteringError(f"k must lie in [1, {len(names)}], got {args.k}")
     dg = pipeline_mod.cluster_predictors(
         pop, names, args.svg_out, args.newick_out
     )
@@ -190,7 +204,7 @@ def _cmd_cluster(args) -> int:
         f"agglomerative coefficient: {dg.agglomerative_coefficient:.4f}; "
         f"figure -> {args.svg_out}"
     )
-    if args.k:
+    if args.k is not None:
         for group in clustering.cut_clusters(dg, k=args.k):
             print("  cluster:", ", ".join(dg.labels[i] for i in group))
     return 0

@@ -15,6 +15,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
+# 500 examples per property: `pytest --hypothesis-profile=deep`.
+settings.register_profile(
+    "deep",
+    derandomize=True,
+    max_examples=500,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
 settings.load_profile("ci")
 
 

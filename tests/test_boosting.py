@@ -274,10 +274,11 @@ class TestLeafRefit:
         assert -GAMMA_CLIP in tree.value[np.unique(idx)]
 
 
-def _reference_segment_optima(seg, n_seg, y, w, F):
+def _reference_segment_optima(seg, n_seg, y, w, F, history=None):
     """The plain segmented Newton solver: every iteration sweeps every
     entry of seg until all problems have converged. _segment_optima must
-    return exactly its bits."""
+    return exactly its bits. A history list, when given, receives every
+    iterate, the start included."""
     flat = seg.ravel()
 
     def sums(v):
@@ -294,6 +295,8 @@ def _reference_segment_optima(seg, n_seg, y, w, F):
 
     gamma = np.zeros(n_seg)
     done = np.zeros(n_seg, dtype=bool)
+    if history is not None:
+        history.append(gamma)
     for _ in range(80):
         S = E * np.exp(gamma)[seg]
         P = S / (1.0 + S)
@@ -305,6 +308,8 @@ def _reference_segment_optima(seg, n_seg, y, w, F):
         new = np.where(live, np.clip(gamma + step, -GAMMA_CLIP, GAMMA_CLIP), gamma)
         done |= np.abs(new - gamma) < 1e-12
         gamma = new
+        if history is not None:
+            history.append(gamma)
         if done.all():
             break
 
@@ -342,21 +347,30 @@ class TestSegmentOptima:
         cost_ratio=st.sampled_from([0.1, 10.0, 3e8]),
         centre=st.floats(-60.0, 60.0),
         spread=st.sampled_from([0.0, 1.0, 30.0]),
+        late=st.sampled_from([True, False]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_reference_bit_for_bit(
-        self, m, k, n_seg, pure_columns, prevalence, cost_ratio, centre, spread, seed
+        self, m, k, n_seg, pure_columns, prevalence, cost_ratio, centre, spread, late, seed
     ):
         # k columns draw ids from range(n_seg), which leaves some problems
         # without rows; each pure column splits the rows by class into two
         # problems of its own, so they can hold most entries. Centres past
-        # +-36 saturate every margin.
+        # +-36 saturate every margin. In about half the examples a leaf of
+        # a late tree (saturated positives, hundreds of negatives) joins
+        # the last problem of the first column, and in some of those the
+        # plain loop runs to its iteration cap, most often in a cycle.
         rng = np.random.default_rng(seed)
         y = (rng.random(m) < prevalence).astype(np.float64)
-        pure = [n_seg + 2 * c + y.astype(np.intp) for c in range(pure_columns)]
-        seg = np.column_stack([rng.integers(0, n_seg, size=(m, k)), *pure])
-        w = boosting._weights(y, cost_ratio)
         F = rng.normal(centre, spread, m)
+        if late:
+            n_pos, n_neg = rng.integers(20, 80), rng.integers(200, 1500)
+            y = np.r_[y, np.ones(n_pos), np.zeros(n_neg)]
+            F = np.r_[F, rng.normal(20.0, 4.0, n_pos), rng.normal(-8.0, 1.5, n_neg)]
+        pure = [n_seg + 2 * c + y.astype(np.intp) for c in range(pure_columns)]
+        seg = np.column_stack([rng.integers(0, n_seg, size=(len(y), k)), *pure])
+        seg[m:, 0] = n_seg - 1
+        w = boosting._weights(y, cost_ratio)
         assert_solver_matches_reference(seg, n_seg + 2 * pure_columns, y, w, F)
 
     @given(
@@ -364,7 +378,7 @@ class TestSegmentOptima:
         k=st.integers(1, 3),
         n_seg=st.integers(1, 12),
         prevalence=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-        cost_ratio=st.sampled_from([0.1, 10.0, 3e8]),
+        cost_ratio=st.sampled_from([0.1, 10.0, 3e8, 1e17]),
         centre=st.floats(-60.0, 60.0),
         spread=st.sampled_from([0.0, 1.0, 30.0]),
         seed=st.integers(0, 2**32 - 1),
@@ -372,18 +386,22 @@ class TestSegmentOptima:
     def test_stopped_problems_leave_the_rest_unchanged(
         self, m, k, n_seg, prevalence, cost_ratio, centre, spread, seed
     ):
-        # The hook sees each problem's loss, slope and curvature at its
-        # first step; the problems it does not stop keep the plain loop's
-        # bits, and the stopped ones come back with a NaN deviance.
+        # The hook is called at the start, where every gamma is 0 or a
+        # clip, and again after the first step on the problems not yet
+        # done; each time it sees the loss, slope and curvature of those
+        # problems at their gamma. The problems it never stops keep the
+        # plain loop's bits. Those it stops come back with a NaN deviance,
+        # and one stopped at the start stays stopped although the second
+        # call does not name it again.
         rng = np.random.default_rng(seed)
         y = (rng.random(m) < prevalence).astype(np.float64)
         seg = rng.integers(0, n_seg, size=(m, k))
         w = boosting._weights(y, cost_ratio)
         F = rng.normal(centre, spread, m)
-        stop = rng.random(n_seg) < 0.5
-        seen = []
+        stop = rng.random((2, n_seg)) < 0.3
+        calls = []
 
-        def prune(L, g, h, gamma):
+        def prune(L, g, h, gamma, fresh):
             z = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)[:, None] + gamma[seg]
             P = expit(z)
             yc = y[:, None]
@@ -397,17 +415,84 @@ class TestSegmentOptima:
                     np.bincount(seg.ravel(), (w[:, None] * v).ravel(), n_seg)
                     for v in (terms, size)
                 )
-                assert np.all(np.abs(got - want) <= 1e-12 * scale)
-            seen.append(True)
-            return stop
+                assert np.all((np.abs(got - want) <= 1e-12 * scale)[fresh])
+            calls.append((gamma.copy(), fresh.copy()))
+            return stop[len(calls) - 1] & fresh
 
-        gamma_ref, dev_ref = _reference_segment_optima(seg, n_seg, y, w, F)
+        history = []
+        gamma_ref, dev_ref = _reference_segment_optima(seg, n_seg, y, w, F, history)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             gamma, dev = boosting._segment_optima(seg, n_seg, y, w, F, prune)
-        keep = ~stop if seen else np.ones(n_seg, bool)
-        assert np.array_equal(gamma[keep], gamma_ref[keep])
-        assert np.array_equal(dev[keep], dev_ref[keep])
-        assert np.isnan(dev[~keep]).all()
+        assert 1 <= len(calls) <= 2
+        start, fresh = calls[0]
+        assert fresh.all()
+        assert np.isin(start, [0.0, -GAMMA_CLIP, GAMMA_CLIP]).all()
+        stopped = stop[0].copy()
+        if len(calls) == 2:
+            after, fresh = calls[1]
+            assert not (fresh & stop[0]).any()
+            assert np.array_equal(after[fresh], history[1][fresh])
+            stopped |= stop[1] & fresh
+        assert np.array_equal(gamma[~stopped], gamma_ref[~stopped])
+        assert np.array_equal(dev[~stopped], dev_ref[~stopped])
+        assert np.isnan(dev[stopped]).all()
+
+    def test_start_bounds_of_a_heavy_problem_with_a_negative_row(self):
+        # At cost_ratio 1e17 the 100 negative rows' weight is lost in wt,
+        # so wy == wt and the problem starts at +GAMMA_CLIP although it
+        # holds y = 0 rows. Their loss there (about 16 each) is what the
+        # start bounds must count to bracket the solver's deviance.
+        y = np.r_[np.ones(3), np.zeros(100)]
+        w = boosting._weights(y, 1e17)
+        F = np.where(y == 1, 2.0, 4.0)
+        seg = np.zeros((len(y), 1), np.intp)
+        assert np.bincount(seg[:, 0], w * y) == np.bincount(seg[:, 0], w)
+        bounds = []
+
+        def prune(L, g, h, gamma, fresh):
+            assert gamma[0] == GAMMA_CLIP
+            bounds.append(boosting._deviance_bounds(L, g, h, gamma))
+            return np.zeros(1, bool)
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gamma, (dev,) = boosting._segment_optima(seg, 1, y, w, F, prune)
+        assert len(bounds) == 1 and gamma[0] == GAMMA_CLIP
+        (lo,), (hi,) = bounds[0]
+        slack = 1e-9 * abs(dev)
+        assert lo <= dev + slack
+        assert dev <= hi + slack
+
+    @pytest.mark.parametrize("seed, period", [(26, 2), (17, 3), (125, None)])
+    def test_problem_at_the_cap_exits_its_cycle(self, seed, period, monkeypatch):
+        # A leaf like those of late trees: 65 positives of weight 10 at
+        # saturated margins and 1250 negatives, so wt = 1900, wy = 650 and
+        # h is about 0.1 at the optimum. g is then an ulp of wy, steps
+        # stay above 1e-12, and the plain loop runs to the cap, repeating
+        # a 2- or 3-cycle from its 10th iterate on, or drifting without
+        # ever repeating. The solver must return the capped bits, and in
+        # a cycle it must stop sweeping soon after the cycle closes.
+        rng = np.random.default_rng(seed)
+        y = np.r_[np.ones(65), np.zeros(1250)]
+        w = boosting._weights(y, 10.0)
+        F = np.r_[rng.normal(20.0, 4.0, 65), rng.normal(-8.0, 1.5, 1250)]
+        seg = np.zeros((len(y), 1), np.intp)
+        history = []
+        want = _reference_segment_optima(seg, 1, y, w, F, history)
+        bits = np.array(history)[:, 0].view(np.int64)
+        assert len(bits) == 81
+        if period is None:
+            assert len(set(bits.tolist())) == 81
+        else:
+            assert bits[10] == bits[10 + period] != bits[11]
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        got = boosting._segment_optima(seg, 1, y, w, F)
+        monkeypatch.undo()
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        # Six set-up sums, two per step, and the deviance.
+        assert len(calls) < 30 if period else len(calls) >= 6 + 2 * 79 + 1
 
     def test_pure_majority_is_dropped_at_once(self):
         # Two of three columns are pure and start done, so the first

@@ -638,3 +638,37 @@ def test_corrupt_input_exits_with_documented_code(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error: " if code == 1 else "error: ")
+
+
+def _six_predictor_population(tmp):
+    rng = np.random.default_rng(8)
+    pop = tmp / "pop.csv"
+    names = [f"x{i}" for i in range(1, 7)]
+    rows = [",".join(names + ["fitness"])]
+    rows += [",".join(map(str, row)) + ",0.5" for row in rng.integers(0, 2, (12, 6))]
+    pop.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return pop
+
+
+@pytest.mark.parametrize("k, code", [("0", 1), ("-1", 1), ("7", 2), ("99", 2)])
+def test_cluster_k_outside_one_to_p_fails_before_any_output(k, code, tmp_path, capsys):
+    # k below 1 is a bad flag (exit 1); k above p = 6 is caught before the
+    # figure is written or a line is printed (exit 2).
+    svg = tmp_path / "d.svg"
+    pop = _six_predictor_population(tmp_path)
+    argv = ["cluster", "--population", str(pop), "--svg-out", str(svg), "--k", k]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("config error: " if code == 1 else "error: k must lie in [1, 6]") in err
+    assert "Traceback" not in err
+    assert not svg.exists()
+
+
+def test_cluster_k_equal_to_p_prints_singletons(tmp_path, capsys):
+    svg = tmp_path / "d.svg"
+    pop = _six_predictor_population(tmp_path)
+    argv = ["cluster", "--population", str(pop), "--svg-out", str(svg), "--k", "6"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("  cluster: ") == 6
+    assert svg.exists()
