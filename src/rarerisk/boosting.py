@@ -167,7 +167,11 @@ class RegressionTree:
         return len(self.feature)
 
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per row of X."""
+        """Leaf node id per row of X, which has one column per predictor."""
+        X = np.asarray(X)
+        p = len(self.deviance_reduction)
+        if X.ndim != 2 or X.shape[1] != p:
+            raise FitError(f"X must be a 2-d matrix with {p} columns")
         st = _stack((self,), 1.0)
         idx = np.empty(X.shape[0], dtype=np.int32)
         for lo in range(0, X.shape[0], _CHUNK_ROWS):
@@ -178,60 +182,82 @@ class RegressionTree:
 
 @dataclass(frozen=True)
 class _Stacked:
-    """Trees concatenated into flat tables with global node ids.
+    """Trees concatenated into one flat table of packed next-node codes.
 
-    feature[k] is node k's split predictor (0 at leaves). child[k, x] is
-    the node that k sends a row with predictor value x to; a leaf sends
-    every row to itself, so extra steps past a leaf are harmless. value[k]
-    is node k's shrunken leaf value, root[t] is tree t's root and depth is
+    A node's code is (2k << shift) | feature[k]: its global id k and its
+    split predictor (0 at leaves), where shift is the bit width of the
+    largest predictor index. code[2k + x] is the code of the node that k
+    sends a row with predictor value x to; a leaf sends every row to
+    itself, so extra steps past a leaf are harmless. The table is int32
+    when every code fits and int64 otherwise. value[k] is node k's
+    shrunken leaf value, root[t] is the code of tree t's root and depth is
     the longest root-to-leaf path.
     """
 
-    feature: np.ndarray
-    child: np.ndarray
+    code: np.ndarray
     value: np.ndarray
     root: np.ndarray
     depth: int
+    shift: int
 
 
 def _stack(trees: tuple[RegressionTree, ...], shrinkage: float) -> _Stacked:
     if not trees:
-        none = np.zeros(0, np.int32)
-        return _Stacked(none, np.zeros((0, 2), np.int32), np.zeros(0), none, 0)
-    sizes = np.array([t.n_nodes for t in trees])
-    root = (np.cumsum(sizes) - sizes).astype(np.int32)
-    offset = np.repeat(root, sizes)
-    raw = np.concatenate([t.feature for t in trees])
-    leaf = raw < 0
-    kids = np.stack([np.concatenate([t.left for t in trees]),
-                     np.concatenate([t.right for t in trees])], axis=1)
-    own = np.arange(len(raw))[:, None]
-    child = np.where(leaf[:, None], own, kids + offset[:, None]).astype(np.int32)
-    depth, frontier = 0, root
+        return _Stacked(np.zeros(0, np.int32), np.zeros(0), np.zeros(0, np.int32), 0, 1)
+    sizes = [t.n_nodes for t in trees]
+    start = np.cumsum([0] + sizes[:-1])
+    shift = max(max(int(t.feature.max()) for t in trees), 1).bit_length()
+    dtype = np.int32 if (2 * sum(sizes)) << shift < 2**31 else np.int64
+    # Filled a tree at a time, so no temporary is larger than one tree.
+    code = np.empty((sum(sizes), 2), dtype)
+    for t, s in zip(trees, start):
+        own = np.arange(t.n_nodes)[:, None]
+        kid = np.where(t.feature[:, None] < 0, own, np.column_stack([t.left, t.right]))
+        code[s : s + t.n_nodes] = (kid + s).astype(dtype) << (shift + 1)
+        code[s : s + t.n_nodes] |= np.maximum(t.feature, 0)[kid]
+    depth, frontier = 0, start
     while True:
-        frontier = frontier[~leaf[frontier]]
+        kid = code[frontier] >> (shift + 1)
+        frontier = kid[kid[:, 0] != frontier].ravel()  # a leaf points to itself
         if not len(frontier):
             break
-        frontier = child[frontier].ravel()
         depth += 1
+    split = np.array([max(t.feature[0], 0) for t in trees], dtype)  # at the roots
+    root = start.astype(dtype) << (shift + 1) | split
     value = shrinkage * np.concatenate([t.value for t in trees])
-    return _Stacked(np.where(leaf, 0, raw).astype(np.int32), child, value, root, depth)
+    return _Stacked(code.ravel(), value, root, depth, shift)
 
 
 def _walk(st: _Stacked, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Global leaf ids of the m rows of X: a (len(roots), m) array with one
-    row per tree, for the trees starting at roots.
+    row per tree, for the trees whose root codes are roots.
 
-    All cursors advance together, depth steps in all. A row goes right
-    only where its value is exactly 1; any other value goes left.
+    All cursors advance together, depth steps in all, each a node code.
+    A step is two gathers: the row's bit of the node's split predictor,
+    at the code's low bits plus the row's offset in X, then the next code,
+    at the code's high bits plus that bit. A row goes right only where its
+    value is exactly 1; any other value goes left. Every index is in range
+    because X has a column for every split predictor, so the gathers skip
+    their bounds checks.
     """
     m, p = X.shape
     bits = (X == 1).ravel()
-    row = np.arange(0, m * p, p, dtype=np.int32)
+    # Index arithmetic in int32 where it fits: half the memory traffic of
+    # intp outweighs take's cast of the indices.
+    dtype = np.int32 if st.code.dtype == np.int32 and m * p < 2**31 else np.int64
+    row = np.arange(0, m * p, p, dtype=dtype)
+    mask = (1 << st.shift) - 1
     cur = np.repeat(roots, m).reshape(len(roots), m)
+    i = np.empty(cur.shape, dtype)
+    b = np.empty(cur.shape, bits.dtype)
     for _ in range(st.depth):
-        cur = st.child.take(2 * cur + bits.take(st.feature.take(cur) + row))
-    return cur
+        np.bitwise_and(cur, mask, out=i)
+        i += row
+        bits.take(i, out=b, mode="clip")
+        np.right_shift(cur, st.shift, out=i)
+        i += b
+        st.code.take(i, out=cur, mode="clip")
+    return np.right_shift(cur, st.shift + 1, out=i)
 
 
 def _staged_margins(st: _Stacked, base: float, X: np.ndarray):
@@ -249,7 +275,7 @@ def _staged_margins(st: _Stacked, base: float, X: np.ndarray):
         terms[0] = F
         for lo in range(0, n, _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
-            terms[1:, lo:hi] = st.value.take(_walk(st, roots, X[lo:hi]))
+            st.value.take(_walk(st, roots, X[lo:hi]), out=terms[1:, lo:hi], mode="clip")
         # add.accumulate runs along axis 0 in order for every row count;
         # sum(axis=0) turns pairwise when there is only one row.
         np.cumsum(terms, axis=0, out=terms)

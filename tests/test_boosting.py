@@ -1005,6 +1005,24 @@ def random_ensemble(seed, n_trees, p=5, max_depth=6):
     return make_model(trees, p=p, intercept=-1.3, shrinkage=0.1)
 
 
+def relabel(tree, rng):
+    """The same tree with its nodes renumbered in a random order that still
+    puts every parent before its children."""
+    order, ready = [], [0]
+    while ready:
+        node = ready.pop(int(rng.integers(len(ready))))
+        order.append(node)
+        if tree.feature[node] >= 0:
+            ready += [int(tree.left[node]), int(tree.right[node])]
+    new_id = np.empty(len(order), np.int32)
+    new_id[order] = np.arange(len(order))
+    kid = lambda a: np.where(a < 0, -1, new_id[a])
+    return RegressionTree(
+        tree.feature[order], kid(tree.left[order]), kid(tree.right[order]),
+        tree.value[order], tree.deviance_reduction,
+    )
+
+
 # Children that are neither (left, left + 1) nor in depth-first order.
 SCRAMBLED = RegressionTree(
     feature=[2, 0, 1, -1, -1, -1, -1],
@@ -1065,6 +1083,71 @@ class TestStackedTraversal:
         assert np.array_equal(SCRAMBLED.leaf_index(X), oracle_leaf_index(SCRAMBLED, X))
         model = make_model([SCRAMBLED, SCRAMBLED], p=3, shrinkage=0.5)
         assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.integers(1, 6),
+        p=st.integers(1, 70),  # the codes' feature field is 1 to 7 bits wide
+        max_depth=st.integers(0, 7),
+        n_rows=st.integers(0, 40),
+    )
+    def test_random_forests_match_the_oracle(self, seed, n_trees, p, max_depth, n_rows):
+        rng = np.random.default_rng(seed)
+        forest = random_ensemble(seed, n_trees, p=p, max_depth=max_depth)
+        trees = [relabel(tree, rng) for tree in forest.trees]
+        model = make_model(trees, p=p, intercept=-1.3, shrinkage=0.1)
+        X = rng.choice(np.array([0, 1, 2, 255], np.uint8), size=(n_rows, p))
+        for tree in trees:
+            assert np.array_equal(tree.leaf_index(X), oracle_leaf_index(tree, X))
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    def test_empty_forest(self, n_rows):
+        model = make_model([], p=3, intercept=-0.4)
+        X = np.ones((n_rows, 3), np.uint8)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+        assert np.array_equal(model.margin(X), np.full(n_rows, -0.4))
+
+    def test_wide_predictor_index_takes_an_int64_table(self):
+        # 1023 nodes and a split on predictor 2**20 need codes past 2**31.
+        p = 2**20 + 1
+        rng = np.random.default_rng(12)
+        internal = 2**9 - 1
+        k = np.arange(internal)
+        feature = np.full(2 * internal + 1, -1)
+        feature[:internal] = rng.integers(p - 64, p, internal)
+        feature[0] = p - 1
+        left, right = np.full_like(feature, -1), np.full_like(feature, -1)
+        left[k], right[k] = 2 * k + 2, 2 * k + 1
+        tree = RegressionTree(feature, left, right, rng.standard_normal(len(feature)), np.zeros(p))
+        assert boosting._stack((tree,), 1.0).code.dtype == np.int64
+        X = rng.integers(0, 2, size=(8, p), dtype=np.uint8)
+        assert np.array_equal(tree.leaf_index(X), oracle_leaf_index(tree, X))
+        model = make_model([tree, tree], p=p, shrinkage=0.5)
+        assert np.array_equal(model.margin(X), oracle_margin(model, X))
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.array([[1, 0], [1, 1], [0, 0]]),
+            np.ones((3, 4), np.uint8),
+            np.ones(3, np.uint8),
+            np.ones((1, 2, 3), np.uint8),
+        ],
+        ids=["too-narrow", "too-wide", "1-d", "3-d"],
+    )
+    def test_leaf_index_checks_the_width_of_X(self, X):
+        # Root on column 0, its right child on column 2: a walk that trusted
+        # a two-column X would read row 1's bit for row 0.
+        tree = RegressionTree(
+            feature=[0, -1, 2, -1, -1],
+            left=[1, -1, 3, -1, -1],
+            right=[2, -1, 4, -1, -1],
+            value=np.zeros(5),
+            deviance_reduction=np.zeros(3),
+        )
+        with pytest.raises(FitError):
+            tree.leaf_index(X)
 
     def test_staged_deviance_sums_bit_identical(self):
         model = random_ensemble(9, boosting._TREE_BLOCK + 20)
