@@ -20,7 +20,6 @@ from .boosting import (
     ConfusionTable,
     RegressionTree,
     confusion,
-    cv_deviance_curve,
     fit_boost,
     fit_boost_cv,
     in_sample_importance,
@@ -55,7 +54,6 @@ from .genetic import (
     load_population_csv,
     mutate,
     save_population_csv,
-    single_point_crossover,
 )
 from .logistic import LogisticModel, fit_logistic, predict_logistic
 from .pipeline import (
@@ -93,7 +91,6 @@ __all__ = [
     "commonality_importance",
     "confusion",
     "cut_clusters",
-    "cv_deviance_curve",
     "dendrogram_to_newick",
     "evolve",
     "fit_boost",
@@ -112,7 +109,6 @@ __all__ = [
     "run_pipeline",
     "save_model",
     "save_population_csv",
-    "single_point_crossover",
     "split_train_test",
     "synthesize",
     "verify_manifest",

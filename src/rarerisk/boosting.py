@@ -50,7 +50,6 @@ __all__ = [
     "ConfusionTable",
     "fit_boost",
     "fit_boost_cv",
-    "cv_deviance_curve",
     "confusion",
     "in_sample_importance",
     "save_model",
@@ -581,65 +580,64 @@ def _best_splits(
     Fg: np.ndarray,
     sizes: np.ndarray,
     valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split predictor and gain of each of K nodes packed into one solve.
+    node: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split predictor, gain and children's deviances of K nodes in one solve.
 
     The rows of node k are the k-th block of sizes[k] rows of Xg, yg, wg
-    and Fg, and valid[k, j] says whether both children of splitting node k
-    on predictor j meet the minimum node size. Problem k (2p + 1) + 2j + x
-    is side x of predictor j in node k, and problem k (2p + 1) + 2p is node
-    k as one leaf. The gain of a split is the node's deviance minus its
-    children's, each at its own optimum. The split predictor is the lowest
-    index whose gain is at least top - 1e-9 max(1, |top|), top being the
-    node's best gain, so float noise cannot decide between tied
-    predictors; it is -1 unless that gain exceeds 1e-12.
+    and Fg, node[k] is its deviance as one leaf, and valid[k, j] says
+    whether both children of splitting it on predictor j meet the minimum
+    node size. Problem 2 (k p + j) + x is side x of predictor j in node k.
+    A split's gain is node[k] minus its children's deviances, each at its
+    own optimum. The split predictor is the lowest index whose gain is at
+    least top - 1e-9 max(1, |top|), top being the node's best gain, so
+    float noise cannot decide between tied predictors; it is -1 unless
+    that gain exceeds 1e-12. Its two children's deviances come back too.
 
     At the start and again after the first Newton step, _deviance_bounds
-    bounds every gain, each time within the bounds found before. A
-    candidate whose upper bound lies more than 1e-6 max(1, |best|) below
-    best, the largest lower bound in its node, is stopped, and so is every
-    invalid one. Once solved, each stopped candidate's upper bound, now
-    from the exact node deviance, is checked against the exact tie window;
-    if any could still reach it, the group is solved again in full.
+    bounds every child, each time within the bounds found before. A
+    candidate whose gain upper bound lies more than 1e-6 max(1, |best|)
+    below best, the largest gain lower bound in its node, is stopped, and
+    so is every invalid one. Once solved, each stopped candidate's upper
+    bound is checked against the exact tie window; if any could still
+    reach it, the group is solved again in full.
     """
     K, p = valid.shape
-    width = 2 * p + 1
-    first = np.repeat(np.arange(0, K * width, width), sizes)  # per row
-    seg = np.empty((len(yg), p + 1), dtype=np.intp)
-    np.add(Xg, 2 * np.arange(p) + first[:, None], out=seg[:, :p])
-    seg[:, p] = first + 2 * p
+    seg = np.repeat(np.arange(0, 2 * K * p, 2 * p), sizes)[:, None] + 2 * np.arange(p)
+    seg += Xg
 
-    def gains(sides: np.ndarray, node: np.ndarray) -> np.ndarray:
-        return node[:, None] - (sides[:, 0:-1:2] + sides[:, 1:-1:2])
+    def gains(sides: np.ndarray) -> np.ndarray:
+        return node[:, None] - (sides[..., 0] + sides[..., 1])
 
     live = valid.copy()  # the candidates solved to the end
-    lo = hi = None
+    lo = np.full((K, p, 2), -np.inf)
+    hi = -lo
 
     def prune(L, g, h, gamma, fresh):
         # Each call's bounds hold, so they are intersected: a stopped
         # candidate stays stopped.
-        nonlocal lo, hi
-        l, u = (b.reshape(K, width) for b in _deviance_bounds(L, g, h, gamma))
-        fresh = fresh.reshape(K, width)
-        lo = l if lo is None else np.where(fresh, np.maximum(lo, l), lo)
-        hi = u if hi is None else np.where(fresh, np.minimum(hi, u), hi)
-        best = np.where(valid, gains(hi, lo[:, -1]), -np.inf).max(axis=1, keepdims=True)
-        live[:] &= ~(gains(lo, hi[:, -1]) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
-        return np.pad(np.repeat(~live, 2, axis=1), ((0, 0), (0, 1))).ravel()
+        l, u = (b.reshape(K, p, 2) for b in _deviance_bounds(L, g, h, gamma))
+        fresh = fresh.reshape(K, p, 2)
+        np.maximum(lo, l, out=lo, where=fresh)
+        np.minimum(hi, u, out=hi, where=fresh)
+        best = np.where(valid, gains(hi), -np.inf).max(axis=1, keepdims=True)
+        live[:] &= ~(gains(lo) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
+        return np.repeat(~live, 2, axis=1).ravel()
 
     def solve(hook):
-        dev = _segment_optima(seg, K * width, yg, wg, Fg, hook)[1].reshape(K, width)
-        gain = np.where(live, gains(dev, dev[:, -1]), -np.inf)
+        dev = _segment_optima(seg, 2 * K * p, yg, wg, Fg, hook)[1].reshape(K, p, 2)
+        gain = np.where(live, gains(dev), -np.inf)
         top = gain.max(axis=1, keepdims=True)
-        return dev[:, -1], gain, top - 1e-9 * np.maximum(1.0, np.abs(top))
+        return dev, gain, top - 1e-9 * np.maximum(1.0, np.abs(top))
 
-    node_dev, gain, window = solve(prune)
-    if lo is not None and not (gains(lo, node_dev) < window)[valid & ~live].all():
+    dev, gain, window = solve(prune)
+    if not (gains(lo) < window)[valid & ~live].all():
         live[:] = valid
-        node_dev, gain, window = solve(None)
+        dev, gain, window = solve(None)
+    k = np.arange(K)
     j = np.argmax(gain >= window, axis=1)
-    best = gain[np.arange(K), j]
-    return np.where(best > 1e-12, j, -1), best
+    best = gain[k, j]
+    return np.where(best > 1e-12, j, -1), best, dev[k, j]
 
 
 def _grow_tree(
@@ -656,14 +654,17 @@ def _grow_tree(
     rows of its splittable nodes, grouped by node in level order. These
     nodes are packed, in order, into groups of at most _PACK_ROWS rows (a
     larger node goes alone), and each group, a slice of the order, is one
-    _best_splits call. Node ids and the deviance reductions are then
-    assigned in depth-first order, right child first, as one node at a
-    time would assign them.
+    _best_splits call. A node's deviance as one leaf comes from the split
+    that made it; only the root's is solved here. Node ids and the
+    deviance reductions are then assigned in depth-first order, right
+    child first, as one node at a time would assign them.
     """
     min_node = config.min_node
-    # The level's node count, and the row count and the rows of each of
-    # its nodes (in level order) or, once filtered, of its splittable ones.
+    # The level's node count, and the row count, the deviance and the rows
+    # of each of its nodes (in level order) or, once filtered, of its
+    # splittable ones.
     n_level, sizes, order = 1, np.array([len(yb)]), np.arange(len(yb))
+    dev = _segment_optima(np.zeros((len(yb), 1), np.intp), 1, yb, wb, Fb)[1]
     # levels[d] is (predictor, gain, index of the left child in level
     # d + 1) per node of level d; the predictor is -1 at a leaf.
     levels = []
@@ -676,17 +677,19 @@ def _grow_tree(
         if len(idx) < n_level:
             rows = np.repeat(splittable, sizes)
             Xo, order = Xo[rows], order[rows]
-            sizes, n1, valid = sizes[idx], n1[idx], valid[idx]
+            sizes, n1, valid, dev = sizes[idx], n1[idx], valid[idx], dev[idx]
         yo, wo, Fo = yb[order], wb[order], Fb[order]
         js, best = np.empty(len(idx), np.intp), np.empty(len(idx))
+        kids = np.empty((len(idx), 2))  # the deviances of each split's children
         ends = np.cumsum(sizes).tolist()
         a = 0  # the first node of the open group
         for b in range(1, len(idx) + 1):
             r0 = ends[a - 1] if a else 0
             if b == len(idx) or ends[b] - r0 > _PACK_ROWS:
                 r1 = ends[b - 1]
-                js[a:b], best[a:b] = _best_splits(
-                    Xo[r0:r1], yo[r0:r1], wo[r0:r1], Fo[r0:r1], sizes[a:b], valid[a:b]
+                js[a:b], best[a:b], kids[a:b] = _best_splits(
+                    Xo[r0:r1], yo[r0:r1], wo[r0:r1], Fo[r0:r1],
+                    sizes[a:b], valid[a:b], dev[a:b],
                 )
                 a = b
         split = js >= 0
@@ -706,6 +709,7 @@ def _grow_tree(
         order = order[rows][np.argsort(key, kind="stable")]
         right = n1[np.arange(n_split), js]
         n_level, sizes = 2 * n_split, np.column_stack([sizes - right, right]).ravel()
+        dev = kids[split].ravel()
 
     feature, left, right = [-1], [-1], [-1]
     reduction = np.zeros(p)
@@ -828,22 +832,6 @@ def _fold_deviance(
     return _staged_deviance_sums(model, train.X[held], yk, wk), float(wk.sum())
 
 
-def _cv(train: DataSet, config: BoostConfig, *extra: tuple) -> tuple[np.ndarray, list]:
-    """The CV curve, and the results of the extra tasks run beside the folds.
-    Folds are stratified by class; they and their fits derive from config.seed."""
-    if config.max_trees < 1:
-        raise FitError("cross-validation needs max_trees >= 1")
-    seqs = np.random.SeedSequence(config.seed).spawn(config.cv_folds + 1)
-    fold = _stratified_folds(train.y, config.cv_folds, np.random.default_rng(seqs[0]))
-    seeds = [int(s.generate_state(1, np.uint64)[0]) for s in seqs[1:]]
-    fits = [(_fold_deviance, (train, config, fold == k, s)) for k, s in enumerate(seeds)]
-    results = _run_tasks(fits + list(extra))
-    dev, weight = np.zeros(config.max_trees), 0.0
-    for fold_dev, fold_weight in results[: len(fits)]:  # in fold order
-        dev, weight = dev + fold_dev, weight + fold_weight
-    return dev / weight, results[len(fits) :]
-
-
 def _workers(n_tasks: int) -> int:
     """One worker per usable CPU, at most one per task. A daemonic process
     may not have children, so it runs the tasks itself."""
@@ -879,15 +867,22 @@ def _run_tasks(tasks: list) -> list:
     return [future.result() for future in futures]
 
 
-def cv_deviance_curve(train: DataSet, config: BoostConfig) -> np.ndarray:
-    """Mean held-out weighted deviance after each boosting iteration, with
-    the folds fitted at once, one worker process per usable CPU."""
-    return _cv(train, config)[0]
-
-
 def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
-    """Fit on all training rows, beside the folds, with the CV-selected tree count."""
-    curve, (model,) = _cv(train, config, (fit_boost, (train, config)))
+    """Fit on all training rows, beside the CV folds, with the tree count
+    that minimises the CV curve, the mean held-out deviance after each
+    tree. Folds are stratified by class; they and their fits derive from
+    config.seed."""
+    if config.max_trees < 1:
+        raise FitError("cross-validation needs max_trees >= 1")
+    seqs = np.random.SeedSequence(config.seed).spawn(config.cv_folds + 1)
+    fold = _stratified_folds(train.y, config.cv_folds, np.random.default_rng(seqs[0]))
+    seeds = [int(s.generate_state(1, np.uint64)[0]) for s in seqs[1:]]
+    fits = [(_fold_deviance, (train, config, fold == k, s)) for k, s in enumerate(seeds)]
+    *folds, model = _run_tasks(fits + [(fit_boost, (train, config))])
+    dev, weight = np.zeros(config.max_trees), 0.0
+    for fold_dev, fold_weight in folds:  # in fold order
+        dev, weight = dev + fold_dev, weight + fold_weight
+    curve = dev / weight
     n_sel = int(np.argmin(curve)) + 1
     return dataclasses.replace(model, n_trees_used=n_sel, cv_curve=curve)
 

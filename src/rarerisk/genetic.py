@@ -25,7 +25,6 @@ __all__ = [
     "Population",
     "GaTrace",
     "evolve",
-    "single_point_crossover",
     "mutate",
     "save_population_csv",
     "load_population_csv",
@@ -130,26 +129,6 @@ def _rank_probabilities(fitness: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def single_point_crossover(
-    a: np.ndarray, b: np.ndarray, cut: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap all genes to the right of the cut position.
-
-    Children keep their parent's genes at positions <= cut (1-based) and
-    exchange the rest. cut may range from 0 (full swap) to p (no change).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise GeneticError("parents must be 1-d vectors of equal length")
-    p = len(a)
-    if not 0 <= cut <= p:
-        raise GeneticError(f"cut must lie in [0, {p}], got {cut}")
-    child1 = np.concatenate([a[:cut], b[cut:]])
-    child2 = np.concatenate([b[:cut], a[cut:]])
-    return child1, child2
-
-
 def _breed(
     members: np.ndarray,
     parent_idx: np.ndarray,
@@ -158,8 +137,10 @@ def _breed(
 ) -> np.ndarray:
     """Children of the parent pairs (parent_idx[2k], parent_idx[2k+1]).
 
-    Pair k is single_point_crossover at cuts[k] where do_cross[k] holds;
-    otherwise both parents pass through unchanged.
+    Where do_cross[k] holds, pair k's children are crossed at cuts[k]:
+    each keeps its own parent's first cuts[k] genes and takes the other
+    parent's genes after them. Otherwise both parents pass through
+    unchanged.
     """
     a = members[parent_idx[0::2]]
     b = members[parent_idx[1::2]]
@@ -303,12 +284,15 @@ def load_population_csv(path: str | Path) -> tuple[Population, list[str]]:
                     f"expected {len(header)}"
                 )
             try:
-                genes_rows.append([int(v) for v in row[:-1]])
+                genes = [int(v) for v in row[:-1]]
                 fitness.append(float(row[-1]))
             except ValueError as exc:
                 raise GeneticError(
                     f"population CSV line {line}: {exc}"
                 ) from None
+            if bad := [g for g in genes if g not in (0, 1)]:
+                raise GeneticError(f"population CSV line {line}: gene {bad[0]} is not 0 or 1")
+            genes_rows.append(genes)
     if not genes_rows:
         raise GeneticError("population CSV has no members")
     pop = Population(

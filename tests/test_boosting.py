@@ -20,7 +20,6 @@ from rarerisk.boosting import (
     ConfusionTable,
     RegressionTree,
     confusion,
-    cv_deviance_curve,
     fit_boost,
     fit_boost_cv,
     in_sample_importance,
@@ -633,14 +632,19 @@ def tie_data(seed, n=1200, p=9, base_rate=0.08):
 
 class SolverSpy:
     """Wraps _segment_optima and records, per call, whether it was pruned
-    and the deviances it returned."""
+    and the deviances it returned. A pruned call is a split search over
+    K nodes of p candidates each; it must hold their 2 K p sides alone."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, p):
         self.calls = []
         self.real = boosting._segment_optima
+        self.p = p
         monkeypatch.setattr(boosting, "_segment_optima", self)
 
     def __call__(self, seg, n_seg, y, w, F, prune=None):
+        if prune is not None:
+            n_nodes = len(np.unique(seg[:, 0] // (2 * self.p)))
+            assert seg.shape[1] == self.p and n_seg == 2 * n_nodes * self.p
         out = self.real(seg, n_seg, y, w, F, prune)
         self.calls.append((prune is not None, seg.shape[1], out[1]))
         return out
@@ -672,10 +676,11 @@ class TestSplitSearchOracle:
     @pytest.mark.parametrize("depth", [1, 3, 10])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_trees_match_node_by_node_search(self, depth, seed, monkeypatch):
-        spy = SolverSpy(monkeypatch)
+        ds = tie_data(seed)
+        spy = SolverSpy(monkeypatch, ds.p)
         cfg = small_config(interaction_depth=depth, min_node=4, max_trees=4,
                            cost_ratio=10.0, seed=seed)
-        assert_trees_match_oracle(tie_data(seed), cfg, monkeypatch)
+        assert_trees_match_oracle(ds, cfg, monkeypatch)
         assert spy.stopped > 0
         assert spy.fallbacks == 0
 
@@ -693,9 +698,9 @@ class TestSplitSearchOracle:
 
     def test_bag_larger_than_a_pack(self, monkeypatch):
         # The root goes alone, and level 1 needs two calls.
-        spy = SolverSpy(monkeypatch)
-        cfg = small_config(interaction_depth=3, min_node=10, max_trees=2)
         ds = tie_data(5, n=9000, p=6)
+        spy = SolverSpy(monkeypatch, ds.p)
+        cfg = small_config(interaction_depth=3, min_node=10, max_trees=2)
         assert int(cfg.bag_fraction * ds.n) > boosting._PACK_ROWS
         assert_trees_match_oracle(ds, cfg, monkeypatch)
         assert spy.fallbacks == 0
@@ -713,8 +718,8 @@ class TestSplitSearchOracle:
         monkeypatch.setattr(
             boosting, "_deviance_bounds", lambda *a: real(*a)[::-1]
         )
-        spy = SolverSpy(monkeypatch)
         ds = tie_data(7)
+        spy = SolverSpy(monkeypatch, ds.p)
         cfg = small_config(interaction_depth=6, min_node=4, max_trees=1,
                            bag_fraction=1.0, cost_ratio=10.0)
         y = ds.y.astype(np.float64)
@@ -727,11 +732,46 @@ class TestSplitSearchOracle:
         assert tree.n_nodes > 15
         assert spy.fallbacks > 0
         # Some node had every candidate stopped, its winner included.
-        width = 2 * ds.p + 1
         assert any(
-            np.isnan(dev.reshape(-1, width)[:, :-1]).all(axis=1).any()
+            np.isnan(dev.reshape(-1, 2 * ds.p)).all(axis=1).any()
             for pruned, _, dev in spy.calls if pruned
         )
+
+    @given(
+        n=st.integers(2, 300),
+        p=st.integers(1, 8),
+        base_rate=st.sampled_from([0.02, 0.1, 0.5]),
+        cost_ratio=st.sampled_from([1.0, 10.0, 1e4, 3e8]),
+        noise=st.sampled_from([0.0, 1.0, 8.0, 30.0]),
+        depth=st.integers(1, 6),
+        min_node=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_bags_match_node_by_node_search(
+        self, n, p, base_rate, cost_ratio, noise, depth, min_node, seed
+    ):
+        # Margins scatter around the weighted logit, as in trees after the
+        # first, with saturated ones at the widest noise; columns come at
+        # rare and even on-rates, and the last repeats the first, so exact
+        # ties are common.
+        rng = np.random.default_rng(seed)
+        X = (rng.random((n, p)) < rng.choice([0.05, 0.5], p)).astype(np.uint8)
+        X[:, -1] = X[:, 0]
+        eta = logit(base_rate) + X @ rng.normal(0.0, 1.0, p)
+        y = (rng.random(n) < expit(eta)).astype(np.float64)
+        y[:2] = [1.0, 0.0]
+        w = boosting._weights(y, cost_ratio)
+        F = logit(np.dot(w, y) / w.sum()) + rng.normal(0.0, noise, n)
+        cfg = small_config(interaction_depth=depth, min_node=min_node, cost_ratio=cost_ratio)
+        with pytest.MonkeyPatch.context() as mp:
+            spy = SolverSpy(mp, p)
+            tree = boosting._grow_tree(X, y, w, F, cfg, p)
+        want = _reference_grow_tree(X, y, w, F, cfg, p)
+        for name in ("feature", "left", "right", "deviance_reduction"):
+            assert np.array_equal(getattr(tree, name), getattr(want, name)), name
+        # The root is the only node solved as one leaf; every other node's
+        # deviance comes from the split that made it.
+        assert [len(dev) for _, _, dev in spy.calls].count(1) == 1
 
 
 class TestDevianceBounds:
@@ -808,7 +848,7 @@ class TestCv:
     def test_planted_signal_selects_many_and_beats_intercept(self):
         ds = synth(n=900, p=6, seed=8, base_rate=0.2)
         cfg = small_config(max_trees=60, cv_folds=5, seed=4, cost_ratio=2.0)
-        curve = cv_deviance_curve(ds, cfg)
+        curve = fit_boost_cv(ds, cfg).cv_curve
         n_sel = int(np.argmin(curve)) + 1
         assert n_sel > 1
         intercept_dev = _pooled_intercept_cv_deviance(ds, cfg)
@@ -819,7 +859,7 @@ class TestCv:
             n=900, p=5, effects=tuple([0.0] * 5), seed=9, base_rate=0.2
         )
         cfg = small_config(max_trees=25, cv_folds=5, seed=5, cost_ratio=2.0)
-        curve = cv_deviance_curve(ds, cfg)
+        curve = fit_boost_cv(ds, cfg).cv_curve
         intercept_dev = _pooled_intercept_cv_deviance(ds, cfg)
         assert abs(curve.min() - intercept_dev) / intercept_dev < 0.01
 
@@ -828,7 +868,7 @@ class TestCv:
         y = np.array([1, 0, 0, 0, 0, 0])
         ds = binary_dataset(X, y)
         with pytest.raises(StratificationError):
-            cv_deviance_curve(ds, small_config(cv_folds=3, min_node=1))
+            fit_boost_cv(ds, small_config(cv_folds=3, min_node=1))
 
     def test_fit_boost_cv_stores_curve(self):
         ds = synth(n=500, seed=10, base_rate=0.2)
@@ -843,14 +883,11 @@ class TestCv:
         # workers; 1 runs them in-process.
         ds = synth(n=500, seed=11, base_rate=0.2)
         cfg = small_config(max_trees=12, cv_folds=5, seed=9, cost_ratio=2.0)
-        curves, models = [], []
+        models = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
-            curves.append(cv_deviance_curve(ds, cfg))
             models.append(model_to_dict(fit_boost_cv(ds, cfg)))
-        assert all(np.array_equal(curves[0], c) for c in curves[1:])
         assert models[0] == models[1] == models[2]
-        assert models[0]["cv_curve"] == curves[0].tolist()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_fold_surfaces_at_once(self, monkeypatch, workers):
@@ -885,7 +922,7 @@ def _small_cv_fit(ds):
 
 def _pooled_intercept_cv_deviance(ds, cfg):
     """Held-out deviance of the per-fold weighted base-rate model, pooled
-    the same way cv_deviance_curve pools folds."""
+    the same way the CV curve pools folds."""
     from rarerisk.boosting import _loss_terms, _stratified_folds, _weights
 
     root = np.random.SeedSequence(cfg.seed)

@@ -14,8 +14,27 @@ from rarerisk.genetic import (
     _rank_probabilities,
     mutate,
     save_population_csv,
-    single_point_crossover,
 )
+
+
+def single_point_crossover(
+    a: np.ndarray, b: np.ndarray, cut: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_breed's oracle for one pair: swap all genes to the right of the cut.
+
+    Children keep their parent's genes at positions <= cut (1-based) and
+    exchange the rest. cut may range from 0 (full swap) to p (no change).
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise GeneticError("parents must be 1-d vectors of equal length")
+    p = len(a)
+    if not 0 <= cut <= p:
+        raise GeneticError(f"cut must lie in [0, {p}], got {cut}")
+    child1 = np.concatenate([a[:cut], b[cut:]])
+    child2 = np.concatenate([b[:cut], a[cut:]])
+    return child1, child2
 
 
 def quick_config(**kw):

@@ -606,6 +606,18 @@ def _population_not_numeric(tmp):
     return ["cluster", "--population", str(pop), "--svg-out", str(tmp / "d.svg")]
 
 
+def _population_gene(cell):
+    """argv that clusters a population whose one gene cell is cell."""
+
+    def make_argv(tmp):
+        pop = tmp / "pop.csv"
+        pop.write_text(f"x1,x2,fitness\n1,0,0.5\n1,{cell},0.25\n", encoding="utf-8")
+        return ["cluster", "--population", str(pop), "--svg-out", str(tmp / "d.svg")]
+
+    make_argv.__name__ = f"_population_gene_{cell}"
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv, code",
     [
@@ -620,6 +632,8 @@ def _population_not_numeric(tmp):
         (_manifest_not_json, 1),
         (_manifest_missing_keys, 1),
         (_population_not_numeric, 2),
+        (_population_gene("-1"), 2),
+        (_population_gene("256"), 2),
         (_set("boost.threshold=abc"), 1),
         (_set("ga.repeats=abc"), 1),
         (_set("dataset.synth.n=abc"), 1),
