@@ -645,26 +645,30 @@ def _grow_tree(
     yb: np.ndarray,
     wb: np.ndarray,
     Fb: np.ndarray,
+    bags: list[int],
     config: BoostConfig,
     p: int,
-) -> RegressionTree:
-    """Grow one tree's splits on the bag; every value is 0 until refit.
+) -> list[RegressionTree]:
+    """Grow one tree's splits per bag; every value is 0 until refit.
 
-    The tree grows a level at a time. One row order per level holds the
-    rows of its splittable nodes, grouped by node in level order. These
-    nodes are packed, in order, into groups of at most _PACK_ROWS rows (a
-    larger node goes alone), and each group, a slice of the order, is one
-    _best_splits call. A node's deviance as one leaf comes from the split
-    that made it; only the root's is solved here. Node ids and the
-    deviance reductions are then assigned in depth-first order, right
-    child first, as one node at a time would assign them.
+    Bag i is the i-th block of bags[i] rows of Xb, yb, wb and Fb, and level
+    0 holds one root per bag. The trees grow a level at a time. One row
+    order per level holds the rows of its splittable nodes, grouped by node
+    in level order. These nodes are packed, in order, into groups of at
+    most _PACK_ROWS rows (a larger node goes alone), and each group, a
+    slice of the order, is one _best_splits call. A node's deviance as one
+    leaf comes from the split that made it; only the roots' are solved
+    here, in one call. Node ids and the deviance reductions are then
+    assigned per tree in depth-first order, right child first, as one node
+    at a time would assign them.
     """
     min_node = config.min_node
     # The level's node count, and the row count, the deviance and the rows
     # of each of its nodes (in level order) or, once filtered, of its
     # splittable ones.
-    n_level, sizes, order = 1, np.array([len(yb)]), np.arange(len(yb))
-    dev = _segment_optima(np.zeros((len(yb), 1), np.intp), 1, yb, wb, Fb)[1]
+    n_level, sizes, order = len(bags), np.array(bags), np.arange(len(yb))
+    roots = np.repeat(np.arange(n_level), sizes)[:, None]
+    dev = _segment_optima(roots, n_level, yb, wb, Fb)[1]
     # levels[d] is (predictor, gain, index of the left child in level
     # d + 1) per node of level d; the predictor is -1 at a leaf.
     levels = []
@@ -711,83 +715,108 @@ def _grow_tree(
         n_level, sizes = 2 * n_split, np.column_stack([sizes - right, right]).ravel()
         dev = kids[split].ravel()
 
-    feature, left, right = [-1], [-1], [-1]
-    reduction = np.zeros(p)
-    stack = [(0, 0, 0)]  # (node id, level, index in level)
-    while stack:
-        node, d, i = stack.pop()
-        if d == len(levels) or levels[d][0][i] < 0:
-            continue
-        j, gain, c = (column[i] for column in levels[d])
-        reduction[j] += gain
-        feature[node] = j
-        left[node], right[node] = len(feature), len(feature) + 1
-        feature += [-1, -1]
-        left += [-1, -1]
-        right += [-1, -1]
-        stack.append((left[node], d + 1, c))
-        stack.append((right[node], d + 1, c + 1))
-
-    return RegressionTree(feature, left, right, np.zeros(len(feature)), reduction)
+    trees = []
+    for root in range(len(bags)):
+        feature, left, right = [-1], [-1], [-1]
+        reduction = np.zeros(p)
+        stack = [(0, 0, root)]  # (node id, level, index in level)
+        while stack:
+            node, d, i = stack.pop()
+            if d == len(levels) or levels[d][0][i] < 0:
+                continue
+            j, gain, c = (column[i] for column in levels[d])
+            reduction[j] += gain
+            feature[node] = j
+            left[node], right[node] = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            left += [-1, -1]
+            right += [-1, -1]
+            stack.append((left[node], d + 1, c))
+            stack.append((right[node], d + 1, c + 1))
+        trees.append(RegressionTree(feature, left, right, np.zeros(len(feature)), reduction))
+    return trees
 
 
 def _refit_leaves(
-    tree: RegressionTree,
-    X: np.ndarray,
+    trees: list[RegressionTree],
+    Xs: list[np.ndarray],
     y: np.ndarray,
     w: np.ndarray,
     F: np.ndarray,
-) -> tuple[RegressionTree, np.ndarray]:
-    """Refit every leaf value as the exact optimum over the full training
-    rows it receives. Returns the updated tree and each row's leaf value."""
-    idx = tree.leaf_index(X)
-    values, _ = _segment_optima(idx[:, None], tree.n_nodes, y, w, F)
-    return dataclasses.replace(tree, value=values), values[idx]
+) -> tuple[list[RegressionTree], np.ndarray]:
+    """Refit every leaf value of each tree as the exact optimum over the
+    full training rows it receives, in one solve. Tree i's rows are Xs[i],
+    and the i-th block of y, w and F. Returns the updated trees and each
+    row's leaf value."""
+    start = np.cumsum([0] + [t.n_nodes for t in trees])
+    idx = np.concatenate([t.leaf_index(X) + s for t, X, s in zip(trees, Xs, start)])
+    values, _ = _segment_optima(idx[:, None], start[-1], y, w, F)
+    parts = np.split(values, start[1:-1])
+    return [dataclasses.replace(t, value=v) for t, v in zip(trees, parts)], values[idx]
 
 
 def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
     """Fit the cost-weighted boosted ensemble on the training data."""
-    y = train.y.astype(np.float64)
-    if y.min() == y.max():
-        raise FitError("response contains a single class; cannot boost")
-    if config.min_node > train.n:
-        raise FitError(
-            f"min_node={config.min_node} exceeds the {train.n} training rows"
-        )
+    return _fit_lockstep([train], [config])[0]
 
-    X = train.X
-    w = _weights(y, config.cost_ratio)
-    wsum = float(w.sum())
-    wmean = float(np.dot(w, y) / wsum)
-    intercept = math.log(wmean / (1.0 - wmean))
 
-    rng = np.random.default_rng(config.seed)
-    F = np.full(train.n, intercept)
-    n_bag = max(1, int(config.bag_fraction * train.n))
-    trees: list[RegressionTree] = []
-    train_dev = np.empty(config.max_trees)
+def _fit_lockstep(sets: list[DataSet], configs: list[BoostConfig]) -> list[BoostModel]:
+    """fit_boost of each data set under its config (the configs differ in
+    their seeds alone), every fit checked before the first tree. The fits'
+    t-th trees grow in one _grow_tree call and are refit in one solve; no
+    fit's numbers depend on another's, so each model is the one it would be
+    alone."""
+    config = configs[0]
+    for train in sets:
+        if train.y.min() == train.y.max():
+            raise FitError("response contains a single class; cannot boost")
+        if config.min_node > train.n:
+            raise FitError(
+                f"min_node={config.min_node} exceeds the {train.n} training rows"
+            )
+
+    ys = [train.y.astype(np.float64) for train in sets]
+    ws = [_weights(y, config.cost_ratio) for y in ys]
+    wmean = [float(np.dot(w, y) / float(w.sum())) for y, w in zip(ys, ws)]
+    intercept = [math.log(m / (1.0 - m)) for m in wmean]
+
+    # y, w and F of every fit, one block after another.
+    y, w = np.concatenate(ys), np.concatenate(ws)
+    start = np.cumsum([0] + [train.n for train in sets])
+    F = np.repeat(intercept, np.diff(start))
+    n_bag = [max(1, int(config.bag_fraction * train.n)) for train in sets]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    trees = [[] for _ in sets]
+    train_dev = np.empty((len(sets), config.max_trees))
 
     for t in range(config.max_trees):
-        if n_bag < train.n:
-            bag = np.sort(rng.choice(train.n, size=n_bag, replace=False))
-        else:
-            bag = np.arange(train.n)
-        tree = _grow_tree(X[bag], y[bag], w[bag], F[bag], config, train.p)
-        tree, row_values = _refit_leaves(tree, X, y, w, F)
+        bags = [
+            np.sort(rng.choice(train.n, size=b, replace=False)) if b < train.n
+            else np.arange(train.n)
+            for train, b, rng in zip(sets, n_bag, rngs)
+        ]
+        Xb = np.concatenate([train.X[bag] for train, bag in zip(sets, bags)])
+        bag = np.concatenate([bag + s for bag, s in zip(bags, start)])
+        grown = _grow_tree(Xb, y[bag], w[bag], F[bag], n_bag, config, sets[0].p)
+        grown, row_values = _refit_leaves(grown, [train.X for train in sets], y, w, F)
         F = F + config.shrinkage * row_values
-        trees.append(tree)
-        train_dev[t] = weighted_deviance(y, w, F)
+        for i, tree in enumerate(grown):
+            trees[i].append(tree)
+            train_dev[i, t] = weighted_deviance(ys[i], ws[i], F[start[i] : start[i + 1]])
 
-    return BoostModel(
-        intercept=intercept,
-        trees=tuple(trees),
-        shrinkage=config.shrinkage,
-        n_trees_used=len(trees),
-        config=config,
-        n_predictors=train.p,
-        train_deviance=train_dev,
-        predictor_names=train.schema.names,
-    )
+    return [
+        BoostModel(
+            intercept=b,
+            trees=tuple(fit_trees),
+            shrinkage=config.shrinkage,
+            n_trees_used=len(fit_trees),
+            config=c,
+            n_predictors=train.p,
+            train_deviance=dev,
+            predictor_names=train.schema.names,
+        )
+        for train, b, fit_trees, c, dev in zip(sets, intercept, trees, configs, train_dev)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -821,15 +850,19 @@ def _staged_deviance_sums(
     return out
 
 
-def _fold_deviance(
-    train: DataSet, config: BoostConfig, held: np.ndarray, fold_seed: int
-) -> tuple[np.ndarray, float]:
-    """Fit on the rows outside held: staged deviance sums and weight on held."""
-    sub = train.take(np.flatnonzero(~held))
-    model = fit_boost(sub, dataclasses.replace(config, seed=fold_seed))
-    yk = train.y[held].astype(np.float64)
-    wk = _weights(yk, config.cost_ratio)
-    return _staged_deviance_sums(model, train.X[held], yk, wk), float(wk.sum())
+def _fit_group(train: DataSet, fold: np.ndarray, fits: list) -> list:
+    """Fit each (k, config) of fits in lockstep: on the rows outside fold k,
+    or on every row when k is None. A fold gives its staged deviance sums
+    and weight on its held-out rows; the fit on every row gives its model."""
+    sets = [train if k is None else train.take(np.flatnonzero(fold != k)) for k, _ in fits]
+    models = _fit_lockstep(sets, [config for _, config in fits])
+    for i, (k, config) in enumerate(fits):
+        if k is not None:
+            yk = train.y[fold == k].astype(np.float64)
+            wk = _weights(yk, config.cost_ratio)
+            dev = _staged_deviance_sums(models[i], train.X[fold == k], yk, wk)
+            models[i] = dev, float(wk.sum())
+    return models
 
 
 def _workers(n_tasks: int) -> int:
@@ -877,8 +910,12 @@ def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
     seqs = np.random.SeedSequence(config.seed).spawn(config.cv_folds + 1)
     fold = _stratified_folds(train.y, config.cv_folds, np.random.default_rng(seqs[0]))
     seeds = [int(s.generate_state(1, np.uint64)[0]) for s in seqs[1:]]
-    fits = [(_fold_deviance, (train, config, fold == k, s)) for k, s in enumerate(seeds)]
-    *folds, model = _run_tasks(fits + [(fit_boost, (train, config))])
+    fits = [(k, dataclasses.replace(config, seed=s)) for k, s in enumerate(seeds)]
+    fits.append((None, config))
+    # Fit i goes to group i mod W, one group per worker.
+    W = _workers(len(fits))
+    groups = _run_tasks([(_fit_group, (train, fold, fits[g::W])) for g in range(W)])
+    *folds, model = (groups[i % W][i // W] for i in range(len(fits)))
     dev, weight = np.zeros(config.max_trees), 0.0
     for fold_dev, fold_weight in folds:  # in fold order
         dev, weight = dev + fold_dev, weight + fold_weight

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import sys
 import time
 
 import numpy as np
@@ -615,6 +616,15 @@ def _reference_grow_tree(Xb, yb, wb, Fb, config, p):
     return RegressionTree(feature, left, right, np.zeros(len(feature)), reduction)
 
 
+def _reference_grow_trees(Xb, yb, wb, Fb, bags, config, p):
+    # Each bag on its own, as the consecutive blocks of _grow_tree's rows.
+    ends = np.cumsum(bags)
+    return [
+        _reference_grow_tree(Xb[a:b], yb[a:b], wb[a:b], Fb[a:b], config, p)
+        for a, b in zip(ends - bags, ends)
+    ]
+
+
 def tie_data(seed, n=1200, p=9, base_rate=0.08):
     """Planted signal on columns 0, 2 and 5. Column 1 duplicates column 0
     (exact ties), column 3 is column 2 with one row flipped (near-ties),
@@ -637,6 +647,7 @@ class SolverSpy:
 
     def __init__(self, monkeypatch, p):
         self.calls = []
+        self.callers = []  # the name of the function that made each call
         self.real = boosting._segment_optima
         self.p = p
         monkeypatch.setattr(boosting, "_segment_optima", self)
@@ -647,6 +658,7 @@ class SolverSpy:
             assert seg.shape[1] == self.p and n_seg == 2 * n_nodes * self.p
         out = self.real(seg, n_seg, y, w, F, prune)
         self.calls.append((prune is not None, seg.shape[1], out[1]))
+        self.callers.append(sys._getframe(1).f_code.co_name)
         return out
 
     @property
@@ -660,16 +672,18 @@ class SolverSpy:
         return sum(not pruned and k > 1 for pruned, k, _ in self.calls)
 
 
-def assert_trees_match_oracle(ds, cfg, monkeypatch):
-    got = fit_boost(ds, cfg)
+def assert_trees_match_oracle(cfg, monkeypatch, *sets):
+    # The data sets are fitted in lockstep, and each must get the model
+    # that the reference grows for it alone.
+    got = boosting._fit_lockstep(list(sets), [cfg] * len(sets))
     with monkeypatch.context() as mp:
-        mp.setattr(boosting, "_grow_tree", _reference_grow_tree)
-        want = fit_boost(ds, cfg)
-    for a, b in zip(got.trees, want.trees, strict=True):
-        for name in ("feature", "left", "right", "value", "deviance_reduction"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(got.train_deviance, want.train_deviance)
-    return got
+        mp.setattr(boosting, "_grow_tree", _reference_grow_trees)
+        want = [fit_boost(ds, cfg) for ds in sets]
+    for g, m in zip(got, want, strict=True):
+        for a, b in zip(g.trees, m.trees, strict=True):
+            for name in ("feature", "left", "right", "value", "deviance_reduction"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(g.train_deviance, m.train_deviance)
 
 
 class TestSplitSearchOracle:
@@ -680,7 +694,7 @@ class TestSplitSearchOracle:
         spy = SolverSpy(monkeypatch, ds.p)
         cfg = small_config(interaction_depth=depth, min_node=4, max_trees=4,
                            cost_ratio=10.0, seed=seed)
-        assert_trees_match_oracle(ds, cfg, monkeypatch)
+        assert_trees_match_oracle(cfg, monkeypatch, ds)
         assert spy.stopped > 0
         assert spy.fallbacks == 0
 
@@ -689,27 +703,28 @@ class TestSplitSearchOracle:
         # only a few candidates are valid, and pure nodes at a 3 % base rate.
         cfg = small_config(interaction_depth=10, min_node=30, max_trees=6,
                            bag_fraction=1.0, cost_ratio=20.0)
-        assert_trees_match_oracle(tie_data(3, n=400, base_rate=0.03), cfg, monkeypatch)
+        assert_trees_match_oracle(cfg, monkeypatch, tie_data(3, n=400, base_rate=0.03))
 
     def test_pure_and_tiny_nodes(self, monkeypatch):
         # min_node 1: nodes split down to single rows and pure leaves.
         cfg = small_config(interaction_depth=10, min_node=1, max_trees=3)
-        assert_trees_match_oracle(tie_data(4, n=150, base_rate=0.2), cfg, monkeypatch)
+        assert_trees_match_oracle(cfg, monkeypatch, tie_data(4, n=150, base_rate=0.2))
 
     def test_bag_larger_than_a_pack(self, monkeypatch):
-        # The root goes alone, and level 1 needs two calls.
+        # The large root goes alone, and level 1 needs two calls; a second,
+        # smaller bag grows beside it.
         ds = tie_data(5, n=9000, p=6)
         spy = SolverSpy(monkeypatch, ds.p)
         cfg = small_config(interaction_depth=3, min_node=10, max_trees=2)
         assert int(cfg.bag_fraction * ds.n) > boosting._PACK_ROWS
-        assert_trees_match_oracle(ds, cfg, monkeypatch)
+        assert_trees_match_oracle(cfg, monkeypatch, ds, tie_data(8, n=700, p=6))
         assert spy.fallbacks == 0
 
     @pytest.mark.parametrize("pack", [1, 50, 700])
     def test_any_packing_gives_the_same_tree(self, pack, monkeypatch):
         monkeypatch.setattr(boosting, "_PACK_ROWS", pack)
         cfg = small_config(interaction_depth=10, min_node=3, max_trees=3)
-        assert_trees_match_oracle(tie_data(6), cfg, monkeypatch)
+        assert_trees_match_oracle(cfg, monkeypatch, tie_data(6))
 
     def test_wrong_bounds_take_the_fallback(self, monkeypatch):
         # Swapped bounds claim every candidate is far behind some other one,
@@ -725,7 +740,7 @@ class TestSplitSearchOracle:
         y = ds.y.astype(np.float64)
         w = boosting._weights(y, cfg.cost_ratio)
         F = np.full(ds.n, logit(np.dot(w, y) / w.sum()))
-        tree = boosting._grow_tree(ds.X, y, w, F, cfg, ds.p)
+        (tree,) = boosting._grow_tree(ds.X, y, w, F, [ds.n], cfg, ds.p)
         want = _reference_grow_tree(ds.X, y, w, F, cfg, ds.p)
         for name in ("feature", "left", "right", "deviance_reduction"):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), name
@@ -738,40 +753,52 @@ class TestSplitSearchOracle:
         )
 
     @given(
-        n=st.integers(2, 300),
+        bags=st.lists(
+            st.tuples(st.integers(2, 300), st.sampled_from([0.0, 1.0, 8.0, 30.0])),
+            min_size=1,
+            max_size=3,
+        ),
         p=st.integers(1, 8),
         base_rate=st.sampled_from([0.02, 0.1, 0.5]),
         cost_ratio=st.sampled_from([1.0, 10.0, 1e4, 3e8]),
-        noise=st.sampled_from([0.0, 1.0, 8.0, 30.0]),
         depth=st.integers(1, 6),
         min_node=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_bags_match_node_by_node_search(
-        self, n, p, base_rate, cost_ratio, noise, depth, min_node, seed
+        self, bags, p, base_rate, cost_ratio, depth, min_node, seed
     ):
-        # Margins scatter around the weighted logit, as in trees after the
-        # first, with saturated ones at the widest noise; columns come at
-        # rare and even on-rates, and the last repeats the first, so exact
-        # ties are common.
+        # Each bag has its own (n, noise). Margins scatter around the
+        # weighted logit, as in trees after the first, with saturated ones
+        # at the widest noise; columns come at rare and even on-rates, and
+        # the last repeats the first, so exact ties are common.
         rng = np.random.default_rng(seed)
-        X = (rng.random((n, p)) < rng.choice([0.05, 0.5], p)).astype(np.uint8)
-        X[:, -1] = X[:, 0]
-        eta = logit(base_rate) + X @ rng.normal(0.0, 1.0, p)
-        y = (rng.random(n) < expit(eta)).astype(np.float64)
-        y[:2] = [1.0, 0.0]
-        w = boosting._weights(y, cost_ratio)
-        F = logit(np.dot(w, y) / w.sum()) + rng.normal(0.0, noise, n)
+        on_rate = rng.choice([0.05, 0.5], p)
+        effect = rng.normal(0.0, 1.0, p)
+        parts = []
+        for n, noise in bags:
+            X = (rng.random((n, p)) < on_rate).astype(np.uint8)
+            X[:, -1] = X[:, 0]
+            y = (rng.random(n) < expit(logit(base_rate) + X @ effect)).astype(np.float64)
+            y[:2] = [1.0, 0.0]
+            w = boosting._weights(y, cost_ratio)
+            F = logit(np.dot(w, y) / w.sum()) + rng.normal(0.0, noise, n)
+            parts.append((X, y, w, F))
+        X, y, w, F = (np.concatenate(a) for a in zip(*parts))
         cfg = small_config(interaction_depth=depth, min_node=min_node, cost_ratio=cost_ratio)
+        sizes = [n for n, _ in bags]
         with pytest.MonkeyPatch.context() as mp:
             spy = SolverSpy(mp, p)
-            tree = boosting._grow_tree(X, y, w, F, cfg, p)
-        want = _reference_grow_tree(X, y, w, F, cfg, p)
-        for name in ("feature", "left", "right", "deviance_reduction"):
-            assert np.array_equal(getattr(tree, name), getattr(want, name)), name
-        # The root is the only node solved as one leaf; every other node's
+            trees = boosting._grow_tree(X, y, w, F, sizes, cfg, p)
+        for tree, part in zip(trees, parts, strict=True):
+            want = _reference_grow_tree(*part, cfg, p)
+            for name in ("feature", "left", "right", "deviance_reduction"):
+                assert np.array_equal(getattr(tree, name), getattr(want, name)), name
+        # The roots are the only nodes solved as one leaf, all in one
+        # single-column call with one problem per bag; every other node's
         # deviance comes from the split that made it.
-        assert [len(dev) for _, _, dev in spy.calls].count(1) == 1
+        roots = [c for c, f in zip(spy.calls, spy.callers) if f == "_grow_tree"]
+        assert [(k, len(dev)) for _, k, dev in roots] == [(1, len(bags))]
 
 
 class TestDevianceBounds:
@@ -884,10 +911,10 @@ class TestCv:
         ds = synth(n=500, seed=11, base_rate=0.2)
         cfg = small_config(max_trees=12, cv_folds=5, seed=9, cost_ratio=2.0)
         models = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4, 6):
             monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
             models.append(model_to_dict(fit_boost_cv(ds, cfg)))
-        assert models[0] == models[1] == models[2]
+        assert all(m == models[0] for m in models[1:])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_fold_surfaces_at_once(self, monkeypatch, workers):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,14 +112,22 @@ class TestLoadCsv:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_round_trip(self, n, p, seed, tmp_path_factory):
+        # The first name needs quoting; the file holds the bytes csv.writer
+        # writes row by row.
         rng = np.random.default_rng(seed)
+        names = ("a,b",) + PredictorSchema.default(p).names[1:]
         ds = DataSet(
-            PredictorSchema.default(p),
+            PredictorSchema(names),
             rng.integers(0, 2, size=(n, p), dtype=np.uint8),
             rng.integers(0, 2, size=n, dtype=np.uint8),
         )
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         write_csv(ds, path)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(list(names) + ["y"])
+        writer.writerows(np.column_stack([ds.X, ds.y]).tolist())
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
         back = load_csv(path)
         assert back.schema == ds.schema
         assert np.array_equal(back.X, ds.X)
