@@ -16,9 +16,9 @@ cache-sized Newton solves, and a candidate split whose deviance bounds, at
 the start or after one Newton step, show that it cannot win is not solved
 further. A recheck against the exact results, with a full solve as the
 fallback, keeps every tree bit-identical to solving each node's candidates
-in full, one node at a time. Within a solve, the first step is summed from
-per-row terms, and a problem whose iterates repeat exactly ends at once on
-the iterate the iteration cap would leave it at.
+in full, one node at a time. Within a solve, every loss term is signed by
+its row's class and summed per class, so no loss or slope is a difference
+of near-equal numbers, and the first step is summed from per-row terms.
 """
 
 from __future__ import annotations
@@ -355,8 +355,9 @@ class BoostModel:
 
 
 def _loss_terms(y: np.ndarray, F: np.ndarray) -> np.ndarray:
-    # Per-point negative log-likelihood log(1+e^F) - y*F, stable for any F.
-    return np.logaddexp(0.0, F) - y * F
+    # Per-point negative log-likelihood log(1 + e^(u F)) with u = 1 - 2y: no
+    # difference, so it keeps its digits at any F.
+    return np.logaddexp(0.0, np.where(y == 1, -F, F))
 
 
 def weighted_deviance(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
@@ -386,18 +387,24 @@ def _segment_optima(
     deviance there. A gamma never increases its problem's loss relative to
     gamma = 0, and a problem without rows gets gamma = 0.
 
+    Every term is signed by its row's class: with u = 1 - 2y and
+    S = e^(u (F + gamma)), a row's loss is log1p(S), P = S / (1 + S) is the
+    probability of the other class, and its weighted P and P / (1 + S) are
+    the size of its negative slope and its curvature. None is a
+    difference, so each keeps its digits however saturated the margin.
+    Each is summed per (problem, class) bin, seg + n_seg y; a problem's
+    loss and curvature add its two bins, and its negative slope is its
+    positives' sum less its negatives'.
+
     Only problems still moving are iterated, and the result equals the
-    plain loop over every entry bit for bit. A pure problem (no weighted
-    positives, or no weighted negatives) starts at the clip, where the
-    loop would end after steps of at least 1. Every other problem starts
-    at gamma = 0, where all entries of a row hold the same terms, so the
-    first step and the loss there are sums of per-row vectors. Once fewer
-    than half the entries belong to moving problems, only theirs are kept,
-    in order, so each problem's sums add the same terms in the same order.
-    A problem's next iterate is thus a fixed function of its gamma: one
-    that repeats, bit for bit, its iterate from 2 to 4 steps before is in
-    a cycle, and it ends at once on the iterate that the cap of
-    _NEWTON_ITERS steps would leave it at.
+    plain loop over every entry bit for bit. A pure problem (rows of one
+    class only) starts at the clip, where the loop would end: each term's
+    curvature is at most its slope, so every step is at least 1. Every
+    other problem starts at gamma = 0, where all entries of a row hold the
+    same terms, so the first step and the loss there are sums of per-row
+    vectors. Once fewer than half the entries belong to moving problems,
+    only theirs are kept, in order, so each problem's sums add the same
+    terms in the same order.
 
     prune, when given, is called at the start as prune(L, g, h, gamma,
     fresh), and again after the first Newton step if any problem is still
@@ -410,85 +417,77 @@ def _segment_optima(
     another's, so every other problem gets the bits it would get without
     the hook.
     """
+    idx = seg + n_seg * (y == 1)[:, None]
 
-    def sums(v: np.ndarray, at: np.ndarray = seg) -> np.ndarray:
-        return np.bincount(at.ravel(), np.broadcast_to(v, at.shape).ravel(), n_seg)
+    def sums(v: np.ndarray, at: np.ndarray = idx) -> np.ndarray:
+        # Row 0 holds each problem's sum over its negatives, row 1 over its
+        # positives.
+        s = np.bincount(at.ravel(), np.broadcast_to(v, at.shape).ravel(), 2 * n_seg)
+        return s.reshape(2, n_seg)
 
-    # sigma(F+gamma) is formed as E*t/(1+E*t) with E = exp(F) cached, so
-    # the iterations are exp-free in the data dimension. Clipping F only
+    # S is formed as E times exp(+-gamma) with E = exp(u F) cached, so the
+    # iterations are exp-free in the data dimension. Clipping F only
     # matters past sigmoid saturation.
     Fr = np.clip(F, -_MARGIN_CLIP, _MARGIN_CLIP)
-    Er = np.exp(Fr)
-    Fc, E, wcol, ycol = Fr[:, None], Er[:, None], w[:, None], y[:, None]
-    wt, wy = sums(wcol), sums(wcol * ycol)
+    Er = np.exp(np.where(y == 1, -Fr, Fr))
+    E, wcol = Er[:, None], w[:, None]
+    wt = sums(wcol).sum(axis=0)
+    n_neg, n_pos = np.bincount(idx.ravel(), minlength=2 * n_seg).reshape(2, n_seg)
 
-    def entry_sums(at, rows, Ea, wa, loss=False):
+    def entry_sums(at, Ea, wa, loss=False):
         # The loss at gamma (if asked for), its negative slope and its
-        # curvature, summed over the entries at of the rows rows (every
-        # entry of seg when rows is None); Ea and wa are E and w per entry.
-        S = Ea * np.exp(gamma)[at]
-        L = None
-        if loss:
-            ya, Fa = (ycol, Fc) if rows is None else (y[rows], Fr[rows])
-            L = np.log1p(S)
-            z = gamma[at]
-            z += Fa
-            z *= ya
-            L -= z
-            L = sums(np.multiply(L, wa, out=L), at)
-        P = np.add(S, 1.0)
-        P = np.divide(S, P, out=P)
-        WP = np.multiply(wa, P, out=S)
-        g = wy - sums(WP, at)
-        return L, g, sums(np.multiply(WP, np.subtract(1.0, P, out=P), out=P), at)
+        # curvature, summed over the entries at, whose E and w are Ea and wa.
+        S = Ea * np.exp(np.concatenate([gamma, -gamma]))[at]
+        L = sums(np.log1p(S) * wa, at).sum(axis=0) if loss else None
+        T = np.add(S, 1.0)
+        WP = np.divide(S, T, out=S)
+        WP *= wa
+        g = sums(WP, at)
+        return L, g[1] - g[0], sums(np.divide(WP, T, out=T), at).sum(axis=0)
 
-    # Pure problems start where the plain loop ends: at the clip, reached
-    # by steps g/h >= 1. That needs h > 1e-300 on the way (h is at least
-    # 1e-21 times the largest weight there) and g >= h: exact when wy = 0,
-    # but wy - sum(w P) cancels, so upwards only while every positive row
-    # keeps (1 - P)^2 >= 4 (entries + 1) eps at +GAMMA_CLIP.
+    # Pure problems start where the plain loop ends, reached by steps
+    # g/h >= 1; that needs h > 1e-300 on the way, and h is at least 1e-21
+    # times the largest weight there.
     heavy = wt > 1e-250
-    gamma = np.where(heavy & (wy == 0.0), -GAMMA_CLIP, 0.0)
-    top = Fr[y == 1].max(initial=-_MARGIN_CLIP) + GAMMA_CLIP
-    if (1.0 + np.exp(top)) ** -2 >= 4 * (seg.size + 1) * np.finfo(float).eps:
-        gamma[heavy & (wy == wt)] = GAMMA_CLIP
+    gamma = np.zeros(n_seg)
+    gamma[heavy & (n_pos == 0)] = -GAMMA_CLIP
+    gamma[heavy & (n_neg == 0)] = GAMMA_CLIP
     # A problem without weight has no curvature; it stays at 0.
     done = (gamma != 0.0) | (wt == 0.0)
     stopped = np.zeros(n_seg, dtype=bool)
-    count = np.bincount(seg.ravel(), minlength=n_seg)
+    count = n_neg + n_pos
 
     # At gamma = 0 the per-row terms are the per-entry terms of the plain
     # loop, so these sums add the same numbers in the same order. L0 is
     # also the safeguard's base.
-    P = E / (1.0 + E)
-    WP = wcol * P
-    L0 = sums(wcol * (np.log1p(E) - ycol * Fc))
-    g, h = wy - sums(WP), sums(WP * (1.0 - P))
+    T = 1.0 + E
+    WP = wcol * (E / T)
+    L0 = sums(wcol * np.log1p(E)).sum(axis=0)
+    g = sums(WP)
+    g, h = g[1] - g[0], sums(WP / T).sum(axis=0)
     if prune is not None:
         L, gs, hs = L0, g, h
         clip = gamma != 0.0
         if clip.any():
-            # A problem started at the clip is summed from its own entries
-            # there; which rows it holds says nothing certain of its sign.
+            # A problem started at the clip is summed from its own entries there.
             sel = np.flatnonzero(clip[seg])
             rows = sel // seg.shape[1]
-            Lc, gc, hc = entry_sums(seg.ravel()[sel], rows, Er[rows], w[rows], True)
+            Lc, gc, hc = entry_sums(idx.ravel()[sel], Er[rows], w[rows], True)
             L, gs, hs = (np.where(clip, c, v) for c, v in ((Lc, L), (gc, g), (hc, h)))
         stopped = prune(L, gs, hs, gamma, np.ones(n_seg, dtype=bool))
         done |= stopped
 
-    at, rows, Ea, wa = seg, None, E, wcol
-    ring = np.empty((4, n_seg))  # iterate it of each problem in row it % 4
+    at, rows, Ea, wa = idx, None, E, wcol
     for it in range(_NEWTON_ITERS):
         if done.all():
             break
         if it > 0:
             if 2 * count[~done].sum() < at.size:
-                sel = np.flatnonzero(~done[at])
+                sel = np.flatnonzero(np.tile(~done, 2)[at])
                 rows = sel // seg.shape[1] if rows is None else rows[sel]
                 at, Ea, wa = at.ravel()[sel], Er[rows], w[rows]
             hook = prune is not None and it == 1
-            L, g, h = entry_sums(at, rows, Ea, wa, hook)
+            L, g, h = entry_sums(at, Ea, wa, hook)
             if hook:
                 stopped |= prune(L, g, h, gamma, ~done)
                 done |= stopped
@@ -496,33 +495,22 @@ def _segment_optima(
         step = np.divide(g, h, out=np.zeros(n_seg), where=~done & (h > 1e-300))
         new = (gamma + step.clip(-_STEP_CLIP, _STEP_CLIP)).clip(-GAMMA_CLIP, GAMMA_CLIP)
         done |= np.abs(new - gamma) < 1e-12
-        # new is iterate it + 1. Equal to iterate it + 1 - k, it repeats the
-        # last k iterates until the cap, which leaves it at the one below.
-        ring[it % 4] = gamma
-        bits, past = new.view(np.int64), ring.view(np.int64)
-        for k in range(2, min(it + 1, 4) + 1):
-            cyc = ~done & (bits == past[(it + 1 - k) % 4])
-            if cyc.any():
-                new[cyc] = ring[(it + 1 - k + (_NEWTON_ITERS - 1 - it) % k) % 4, cyc]
-                done |= cyc
         gamma = new
 
-    # Only the problems not stopped get a deviance, from their entries in order.
-    at, Ea, ya, Fa, wa = seg, E, ycol, Fc, wcol
-    if stopped.any():
+    # The problems not stopped get a deviance, from their entries in order;
+    # once they hold fewer than half the entries, only theirs are summed.
+    at, Ea, wa = idx, E, wcol
+    if 2 * count[~stopped].sum() < idx.size:
         sel = np.flatnonzero(~stopped[seg])
         rows = sel // seg.shape[1]
-        at, Ea, ya, Fa, wa = seg.ravel()[sel], Er[rows], y[rows], Fr[rows], w[rows]
+        at, Ea, wa = idx.ravel()[sel], Er[rows], w[rows]
 
     def deviance(gamma: np.ndarray) -> np.ndarray:
-        # log(1+e^z) - y*z with z = Fc + gamma, as log1p(E*e^gamma) - y*z.
-        L = np.log1p(Ea * np.exp(gamma)[at])
-        L -= ya * (Fa + gamma[at])
-        L *= wa
-        return 2.0 * sums(L, at)
+        L = np.log1p(Ea * np.exp(np.concatenate([gamma, -gamma]))[at])
+        return 2.0 * sums(np.multiply(L, wa, out=L), at).sum(axis=0)
 
     # Safeguard: halve any gamma that loses to gamma = 0; zero it after 60.
-    # A stopped problem has no entries here and is never worse.
+    # A stopped problem is never worse.
     base = np.where(stopped, np.inf, 2.0 * L0)
     dev = deviance(gamma)
     for _ in range(60):
