@@ -29,7 +29,8 @@ __all__ = [
     "nearest_match",
 ]
 
-_MATCH_BLOCK = 4096  # dataset rows compared at once in nearest_match
+# nearest_match holds at most this many (member, row) agreements at once.
+_MATCH_CELLS = 1 << 18
 
 
 class SwitchClass(str, enum.Enum):
@@ -162,7 +163,12 @@ def nearest_match(
     """Best agreement count with any real row, per member, plus the max.
 
     Agreement between a member and a row is the number of predictor
-    positions with equal values (0..p).
+    positions with equal values (0..p). Rows are compared a block at a
+    time, with at most `_MATCH_CELLS` (member, row) pairs in a block, or
+    one row when the population is larger. So memory does not grow with
+    the dataset: beyond a float64 copy of the members, one block holds
+    max(_MATCH_CELLS, pop.size) float64 agreements (2 MiB at the default
+    for any population up to 2**18) and its rows as float64.
     """
     if pop.size == 0 or ds.n == 0:
         raise RareRiskError("nearest_match needs non-empty inputs")
@@ -171,14 +177,16 @@ def nearest_match(
             f"population has {pop.p} predictors, dataset has {ds.p}"
         )
     A = pop.members.astype(np.float64)
-    top = np.zeros(pop.size)
-    # Agreements = ones-matching + zeros-matching; exact in float64 for
-    # any realistic p. Rows are compared a block at a time, so memory does
-    # not grow with the dataset.
-    for lo in range(0, ds.n, _MATCH_BLOCK):
-        B = ds.X[lo : lo + _MATCH_BLOCK].astype(np.float64)
+    block = max(1, _MATCH_CELLS // pop.size)
+    # Agreement of member a and row b is p - |a| - |b| + 2 a.b, exact in
+    # float64 for any realistic p: the best over rows of 2 a.b - |b| is
+    # kept, and p - |a| added at the end.
+    top = np.full(pop.size, -np.inf)
+    for lo in range(0, ds.n, block):
+        B = ds.X[lo : lo + block].astype(np.float64)
         agree = A @ B.T
-        agree += (1.0 - A) @ (1.0 - B).T
+        agree *= 2.0
+        agree -= B.sum(axis=1)
         np.maximum(top, agree.max(axis=1), out=top)
-    best = np.rint(top).astype(np.int64)
+    best = (top + (pop.p - A.sum(axis=1))).astype(np.int64)
     return best, int(best.max())

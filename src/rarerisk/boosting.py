@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from ._io import write_artifact
 from .dataset import DataSet
 from .errors import FitError, StratificationError
+from .logistic import _expit
 
 __all__ = [
     "BoostConfig",
@@ -347,7 +347,7 @@ class BoostModel:
         return np.array(total)  # a copy, not a view into the last block
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.margin(X))
+        return _expit(self.margin(X))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ inputs and seed; arrays are frozen after construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._io import write_artifact
 from .errors import (
@@ -145,6 +145,8 @@ class SynthSpec:
             raise DatasetError("effects and on-rates must both have length p")
         if not 0.0 <= self.base_rate <= 1.0:
             raise DatasetError("base_rate must lie in [0, 1]")
+        if not all(math.isfinite(e) for e in self.effects):
+            raise DatasetError("effects must be finite")
         if any(not 0.0 <= r <= 1.0 for r in self.predictor_on_rates):
             raise DatasetError("predictor on-rates must lie in [0, 1]")
         if self.names and len(self.names) != self.p:
@@ -256,6 +258,54 @@ def split_train_test(
     return ds.take(train_idx), ds.take(test_idx)
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    The steps of the common C implementation (brentq), with xtol=1e-12,
+    rtol=4*eps and at most 100 iterations: the tests check that it calls f
+    at the same points in the same order and returns the same root bits.
+    f(xa) and f(xb) must differ in sign.
+    """
+    xtol, rtol = 1e-12, 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(100):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SynthesisError("intercept solve did not converge in 100 iterations")
+
+
 def _solve_intercept(signal: np.ndarray, target: float) -> float:
     """Find alpha with mean(sigmoid(alpha + signal)) == target."""
 
@@ -273,7 +323,7 @@ def _solve_intercept(signal: np.ndarray, target: float) -> float:
                 f"cannot bracket intercept for base rate {target} "
                 f"with signal range [{signal.min():.3g}, {signal.max():.3g}]"
             )
-    return float(brentq(gap, lo, hi, xtol=1e-12))
+    return _brentq(gap, lo, hi)
 
 
 def synthesize(spec: SynthSpec) -> DataSet:

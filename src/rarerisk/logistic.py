@@ -8,10 +8,10 @@ and rarely cross 0.5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import DataSet
 from .errors import FitError, SingularMatrixError
@@ -44,6 +44,28 @@ class LogisticModel:
     @property
     def p(self) -> int:
         return len(self.coefficients)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)), with the C library's exp.
+
+    np.exp can differ from the C library's exp in the last bit, so exp is
+    taken one value at a time with math.exp, where an overflow is inf.
+    The tests check it bit for bit against the compiled expit ufunc.
+    """
+    neg = (-np.asarray(x, np.float64)).ravel().tolist()
+    try:  # the common case, at about half the cost of _exp_or_inf
+        e = np.fromiter(map(math.exp, neg), np.float64, len(neg))
+    except OverflowError:  # some x below -709.78
+        e = np.fromiter(map(_exp_or_inf, neg), np.float64, len(neg))
+    return (1.0 / (1.0 + e)).reshape(np.shape(x))
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _neg_loglik(y: np.ndarray, z: np.ndarray) -> float:
@@ -92,7 +114,7 @@ def fit_logistic(
     it = 0
     for it in range(1, max_iter + 1):
         z = design @ beta
-        prob = expit(z)
+        prob = _expit(z)
         grad = design.T @ (y - prob)
         if np.max(np.abs(grad)) < tol:
             converged = True
@@ -122,7 +144,7 @@ def fit_logistic(
             break
     else:
         z = design @ beta
-        if np.max(np.abs(design.T @ (y - expit(z)))) < tol:
+        if np.max(np.abs(design.T @ (y - _expit(z)))) < tol:
             converged = True
 
     if not converged and not diagnostic:
@@ -146,4 +168,4 @@ def predict_logistic(model: LogisticModel, X: np.ndarray) -> np.ndarray:
         raise FitError(
             f"X must be 2-d with {model.p} columns, got shape {X.shape}"
         )
-    return expit(model.intercept + X.astype(np.float64) @ model.coefficients)
+    return _expit(model.intercept + X.astype(np.float64) @ model.coefficients)

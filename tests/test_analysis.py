@@ -178,16 +178,28 @@ class TestNearestMatch:
             direct = max(int(np.sum(members[i] == X[r])) for r in range(30))
             assert best[i] == direct
 
-    @pytest.mark.parametrize("block", [1, 7, 30, 4096])
+    @pytest.mark.parametrize("block", [1, 7, 29, 30, 4096])
     def test_blocks_match_whole_dataset(self, rng, monkeypatch, block):
+        # A budget of 11 * block cells makes blocks of `block` rows for the
+        # 11 members: 29 leaves a last block of one row.
         members = rng.integers(0, 2, size=(11, 6), dtype=np.uint8)
         X = rng.integers(0, 2, size=(30, 6), dtype=np.uint8)
         A, B = members.astype(float), X.astype(float)
         whole = np.rint((A @ B.T + (1 - A) @ (1 - B).T).max(axis=1)).astype(np.int64)
-        monkeypatch.setattr(analysis, "_MATCH_BLOCK", block)
+        monkeypatch.setattr(analysis, "_MATCH_CELLS", 11 * block)
         best, global_max = nearest_match(uniform_population(members), binary_dataset(X, np.zeros(30)))
         assert np.array_equal(best, whole)
         assert global_max == whole.max()
+
+    def test_population_over_budget(self, rng, monkeypatch):
+        # More members than cells: each block holds one row.
+        members = rng.integers(0, 2, size=(11, 6), dtype=np.uint8)
+        X = rng.integers(0, 2, size=(5, 6), dtype=np.uint8)
+        monkeypatch.setattr(analysis, "_MATCH_CELLS", 10)
+        best, global_max = nearest_match(uniform_population(members), binary_dataset(X, np.zeros(5)))
+        direct = [max(int(np.sum(m == x)) for x in X) for m in members]
+        assert best.tolist() == direct
+        assert global_max == max(direct)
 
     def test_empty_rejected(self):
         ds = binary_dataset(np.array([[1]], np.uint8), [0])

@@ -1,12 +1,15 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import binom
 
+from rarerisk import dataset
 from rarerisk.dataset import (
     DataSet,
     PredictorSchema,
@@ -22,6 +25,7 @@ from rarerisk.errors import (
     EmptyFileError,
     NonBinaryValueError,
     SchemaMismatchError,
+    SynthesisError,
 )
 
 
@@ -258,6 +262,11 @@ class TestSynthesize:
         with pytest.raises(DatasetError):
             self.spec(effects=(1.0,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_effect_rejected(self, bad):
+        with pytest.raises(DatasetError, match="finite"):
+            self.spec(effects=(0.0, bad, 0.0, 0.0))
+
     def test_no_signal_fit_has_chance_auc(self):
         # With all effects zero, any model fit on train should score test
         # rows no better than chance: median AUC across seeds in
@@ -303,6 +312,55 @@ class TestSynthesize:
             scores = model.predict(test.X)
             aucs.append(rank_auc(scores, test.y.astype(int)))
         assert 0.45 <= float(np.median(aucs)) <= 0.55
+
+
+def _intercept_solve(signal, target, solver):
+    """Root bits and every point the gap was evaluated at, with `solver`
+    standing in for the intercept's root finder."""
+    points = []
+
+    def counted(f, a, b):
+        def g(x):
+            points.append(x)
+            return f(x)
+
+        return solver(g, a, b)
+
+    with mock.patch.object(dataset, "_brentq", counted):
+        root = dataset._solve_intercept(signal, target)
+    return np.float64(root).tobytes(), points
+
+
+class TestInterceptRoot:
+    # The port against the compiled brentq it copies: the same gap
+    # evaluations in the same order and the same root bits.
+    @given(
+        n=st.integers(1, 300),
+        effects=st.lists(
+            st.floats(-30, 30, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=8,
+        ),
+        on_rate=st.floats(0.0, 1.0),
+        target=st.one_of(
+            st.floats(1e-12, 1 - 1e-12),
+            st.floats(1e-15, 1e-3),
+            st.floats(-15, -3).map(lambda e: 1.0 - 10.0**e),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_calls_and_root_as_brentq(self, n, effects, on_rate, target, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, len(effects))) < on_rate
+        signal = X.astype(np.float64) @ np.asarray(effects)
+        try:
+            ours = _intercept_solve(signal, target, dataset._brentq)
+        except SynthesisError:  # no bracket: neither solver runs
+            return
+        theirs = _intercept_solve(
+            signal, target, lambda f, a, b: brentq(f, a, b, xtol=1e-12)
+        )
+        assert ours == theirs
 
 
 class TestBaseRate:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from rarerisk.dataset import SynthSpec, synthesize
 from rarerisk.errors import FitError, SingularMatrixError
-from rarerisk.logistic import fit_logistic, predict_logistic
+from rarerisk.logistic import _expit, fit_logistic, predict_logistic
 
 from conftest import binary_dataset
 
@@ -145,3 +149,34 @@ class TestPredict:
         probs = predict_logistic(m, ds.X)
         assert m.converged
         assert probs.max() < 0.5
+
+
+class TestExpit:
+    # The private logistic against the compiled expit ufunc, bit for bit.
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, np.nan,
+        5e-324, -5e-324, 1e-310, -1e-310,
+        2.2250738585072009e-308, -2.2250738585072009e-308,
+        709.7827128933840, -709.7827128933840,
+        709.7827128933841, -709.7827128933841,
+        745.1332191019411, -745.1332191019411,
+        36.0, -36.0, 1e300, -1e300,
+    ]
+
+    @staticmethod
+    def assert_same_bits(x):
+        x = np.asarray(x, np.float64)
+        ours, theirs = _expit(x), expit(x)
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+    def test_edges(self):
+        self.assert_same_bits(self.EDGES)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40)))
+    def test_random_values(self, x):
+        self.assert_same_bits(x)
+
+    @given(hnp.arrays(np.float64, st.integers(0, 200), elements=st.floats(-750, 750)))
+    def test_values_where_exp_is_finite_or_near_overflow(self, x):
+        self.assert_same_bits(x)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import rarerisk
 from rarerisk.boosting import BoostConfig
 from rarerisk.cli import main
 from rarerisk.errors import ConfigError, StageError
@@ -638,6 +639,8 @@ def _population_gene(cell):
         (_set("ga.repeats=abc"), 1),
         (_set("dataset.synth.n=abc"), 1),
         (_set("dataset.synth.effects=abc"), 1),
+        (_set("dataset.synth.effects=.nan"), 1),
+        (_set("dataset.synth.effects=.inf"), 1),
         (_set("output_dir=5"), 1),
         (_set("analysis=0"), 1),
         (_set_into_non_mapping, 1),
@@ -686,3 +689,32 @@ def test_cluster_k_equal_to_p_prints_singletons(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.count("  cluster: ") == 6
     assert svg.exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    # The runtime needs numpy and PyYAML alone: with scipy unimportable,
+    # the CI's tiny README example still runs the whole pipeline.
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    (tmp_path / "readme.yaml").write_text(
+        readme.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8"
+    )
+    sets = [
+        "dataset.synth.n=400", "split.n_train=300", "boost.interaction_depth=2",
+        "boost.max_trees=3", "boost.cv_folds=2", "ga.pop_size=20", "ga.generations=3",
+    ]
+    argv = ["pipeline", "--config", "readme.yaml", "--output-dir", "smoke"]
+    for item in sets:
+        argv += ["--set", item]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import rarerisk, rarerisk.cli\n"
+        f"sys.exit(rarerisk.cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rarerisk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "smoke" / "model.json").is_file()
