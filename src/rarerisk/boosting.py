@@ -61,8 +61,8 @@ __all__ = [
 GAMMA_CLIP = 12.0
 _STEP_CLIP = 4.0
 _MARGIN_CLIP = 36.0  # sigmoid(36) is within 2e-16 of 1
-# The traversal kernel walks at most this many rows, and sums at most this
-# many trees into one block of margins, at a time.
+# The traversal kernel walks at most this many rows of at most this many
+# trees at a time.
 _CHUNK_ROWS = 512
 _TREE_BLOCK = 128
 # Split search packs the nodes of a tree level into solves of at most this
@@ -259,29 +259,6 @@ def _walk(st: _Stacked, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.right_shift(cur, st.shift + 1, out=i)
 
 
-def _staged_margins(st: _Stacked, base: float, X: np.ndarray):
-    """Yield (t0, F) for successive blocks of at most _TREE_BLOCK trees.
-
-    F[i] is every row's margin after tree t0 + i, starting from base. Each
-    margin is accumulated one tree at a time in tree order, so it equals
-    the sum of base and the trees' shrunken values taken in that order.
-    """
-    n = X.shape[0]
-    F = np.full(n, base)
-    for t0 in range(0, len(st.root), _TREE_BLOCK):
-        roots = st.root[t0 : t0 + _TREE_BLOCK]
-        terms = np.empty((len(roots) + 1, n))
-        terms[0] = F
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            st.value.take(_walk(st, roots, X[lo:hi]), out=terms[1:, lo:hi], mode="clip")
-        # add.accumulate runs along axis 0 in order for every row count;
-        # sum(axis=0) turns pairwise when there is only one row.
-        np.cumsum(terms, axis=0, out=terms)
-        yield t0, terms[1:]
-        F = terms[-1].copy()
-
-
 @dataclass(frozen=True)
 class BoostModel:
     """Additive log-odds ensemble: intercept + shrinkage * sum of trees.
@@ -341,10 +318,18 @@ class BoostModel:
             raise FitError(
                 f"X has {X.shape[1]} columns, model expects {self.p}"
             )
+        # A row's margin adds its trees' shrunken values to the intercept
+        # one tree at a time, in tree order.
+        st = self._stacked
         total = np.full(X.shape[0], self.intercept, dtype=np.float64)
-        for _, F in _staged_margins(self._stacked, self.intercept, X):
-            total = F[-1]
-        return np.array(total)  # a copy, not a view into the last block
+        for lo in range(0, X.shape[0], _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            F = total[lo:hi]
+            for t0 in range(0, len(st.root), _TREE_BLOCK):
+                leaves = _walk(st, st.root[t0 : t0 + _TREE_BLOCK], X[lo:hi])
+                for values in st.value.take(leaves, mode="clip"):
+                    F += values
+        return total
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _expit(self.margin(X))
@@ -727,17 +712,17 @@ def _grow_tree(
 
 def _refit_leaves(
     trees: list[RegressionTree],
-    Xs: list[np.ndarray],
+    leaves: list[np.ndarray],
     y: np.ndarray,
     w: np.ndarray,
     F: np.ndarray,
 ) -> tuple[list[RegressionTree], np.ndarray]:
     """Refit every leaf value of each tree as the exact optimum over the
-    full training rows it receives, in one solve. Tree i's rows are Xs[i],
-    and the i-th block of y, w and F. Returns the updated trees and each
-    row's leaf value."""
+    full training rows it receives, in one solve. Tree i's rows are the
+    i-th block of y, w and F, and leaves[i] holds their leaf ids. Returns
+    the updated trees and each row's leaf value."""
     start = np.cumsum([0] + [t.n_nodes for t in trees])
-    idx = np.concatenate([t.leaf_index(X) + s for t, X, s in zip(trees, Xs, start)])
+    idx = np.concatenate([leaf + s for leaf, s in zip(leaves, start)])
     values, _ = _segment_optima(idx[:, None], start[-1], y, w, F)
     parts = np.split(values, start[1:-1])
     return [dataclasses.replace(t, value=v) for t, v in zip(trees, parts)], values[idx]
@@ -745,15 +730,23 @@ def _refit_leaves(
 
 def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
     """Fit the cost-weighted boosted ensemble on the training data."""
-    return _fit_lockstep([train], [config])[0]
+    return _fit_lockstep([train], [None], [config])[0]
 
 
-def _fit_lockstep(sets: list[DataSet], configs: list[BoostConfig]) -> list[BoostModel]:
+def _fit_lockstep(
+    sets: list[DataSet], held: list[DataSet | None], configs: list[BoostConfig]
+) -> list:
     """fit_boost of each data set under its config (the configs differ in
     their seeds alone), every fit checked before the first tree. The fits'
     t-th trees grow in one _grow_tree call and are refit in one solve; no
-    fit's numbers depend on another's, so each model is the one it would be
-    alone."""
+    fit's numbers depend on another's, so each fit is the one it would be
+    alone.
+
+    A fit without held-out rows (held[i] is None) gives its model. One
+    with held-out rows held[i] gives its total weighted deviance on them
+    after each tree, and their weight: its held-out margins advance with
+    each refit tree by the same shrunken leaf values as its training
+    margins, so nothing is replayed after the fit."""
     config = configs[0]
     for train in sets:
         if train.y.min() == train.y.max():
@@ -776,6 +769,16 @@ def _fit_lockstep(sets: list[DataSet], configs: list[BoostConfig]) -> list[Boost
     rngs = [np.random.default_rng(c.seed) for c in configs]
     trees = [[] for _ in sets]
     train_dev = np.empty((len(sets), config.max_trees))
+    # A fit's training rows, then its held-out rows, walk each tree in one
+    # leaf_index call. y, w and F of the held-out rows, and their deviances:
+    Xs = [train.X for train in sets]
+    held_out = {}
+    for i, h in enumerate(held):
+        if h is not None:
+            Xs[i] = np.concatenate([Xs[i], h.X])
+            yh = h.y.astype(np.float64)
+            held_out[i] = yh, _weights(yh, config.cost_ratio), np.full(h.n, intercept[i])
+    held_dev = np.empty((len(sets), config.max_trees))
 
     for t in range(config.max_trees):
         bags = [
@@ -786,13 +789,19 @@ def _fit_lockstep(sets: list[DataSet], configs: list[BoostConfig]) -> list[Boost
         Xb = np.concatenate([train.X[bag] for train, bag in zip(sets, bags)])
         bag = np.concatenate([bag + s for bag, s in zip(bags, start)])
         grown = _grow_tree(Xb, y[bag], w[bag], F[bag], n_bag, config, sets[0].p)
-        grown, row_values = _refit_leaves(grown, [train.X for train in sets], y, w, F)
+        leaves = [tree.leaf_index(X) for tree, X in zip(grown, Xs)]
+        in_fit = [leaf[: train.n] for leaf, train in zip(leaves, sets)]
+        grown, row_values = _refit_leaves(grown, in_fit, y, w, F)
         F = F + config.shrinkage * row_values
         for i, tree in enumerate(grown):
             trees[i].append(tree)
             train_dev[i, t] = weighted_deviance(ys[i], ws[i], F[start[i] : start[i + 1]])
+            if i in held_out:
+                yh, wh, Fh = held_out[i]
+                Fh += config.shrinkage * tree.value[leaves[i][sets[i].n :]]
+                held_dev[i, t] = _deviance_sum(yh, wh, Fh)
 
-    return [
+    fits = [
         BoostModel(
             intercept=b,
             trees=tuple(fit_trees),
@@ -805,6 +814,9 @@ def _fit_lockstep(sets: list[DataSet], configs: list[BoostConfig]) -> list[Boost
         )
         for train, b, fit_trees, c, dev in zip(sets, intercept, trees, configs, train_dev)
     ]
+    for i, (_, wh, _) in held_out.items():
+        fits[i] = held_dev[i], float(wh.sum())
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -826,31 +838,12 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return folds
 
 
-def _staged_deviance_sums(
-    model: BoostModel, X: np.ndarray, y: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Total weighted deviance on (X, y) after each successive tree."""
-    out = np.empty(len(model.trees))
-    st = _stack(model.trees, model.shrinkage)
-    for t0, F in _staged_margins(st, model.intercept, X):
-        for i, Fi in enumerate(F):
-            out[t0 + i] = _deviance_sum(y, w, Fi)
-    return out
-
-
 def _fit_group(train: DataSet, fold: np.ndarray, fits: list) -> list:
     """Fit each (k, config) of fits in lockstep: on the rows outside fold k,
-    or on every row when k is None. A fold gives its staged deviance sums
-    and weight on its held-out rows; the fit on every row gives its model."""
+    holding out fold k, or on every row when k is None."""
     sets = [train if k is None else train.take(np.flatnonzero(fold != k)) for k, _ in fits]
-    models = _fit_lockstep(sets, [config for _, config in fits])
-    for i, (k, config) in enumerate(fits):
-        if k is not None:
-            yk = train.y[fold == k].astype(np.float64)
-            wk = _weights(yk, config.cost_ratio)
-            dev = _staged_deviance_sums(models[i], train.X[fold == k], yk, wk)
-            models[i] = dev, float(wk.sum())
-    return models
+    held = [None if k is None else train.take(np.flatnonzero(fold == k)) for k, _ in fits]
+    return _fit_lockstep(sets, held, [config for _, config in fits])
 
 
 def _workers(n_tasks: int) -> int:
@@ -891,8 +884,9 @@ def _run_tasks(tasks: list) -> list:
 def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
     """Fit on all training rows, beside the CV folds, with the tree count
     that minimises the CV curve, the mean held-out deviance after each
-    tree. Folds are stratified by class; they and their fits derive from
-    config.seed."""
+    tree. Each fold records its held-out deviance sums as its trees grow,
+    and the curve pools them in fold order. Folds are stratified by class;
+    they and their fits derive from config.seed."""
     if config.max_trees < 1:
         raise FitError("cross-validation needs max_trees >= 1")
     seqs = np.random.SeedSequence(config.seed).spawn(config.cv_folds + 1)

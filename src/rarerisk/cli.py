@@ -24,14 +24,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _count(text: str) -> int:
-    """An integer of at least 1, for argparse."""
+def _at_least(text: str, low: int) -> int:
+    """An integer of at least low, for argparse."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split a CSV into train and test")
     p.add_argument("--input", required=True)
     p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda text: _at_least(text, 0), default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
     p.add_argument("--response", help="response column (default: last)")
@@ -98,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--svg-out", required=True)
     p.add_argument("--newick-out")
-    p.add_argument("--k", type=_count, help="also print a k-cluster partition")
+    p.add_argument(
+        "--k", type=lambda text: _at_least(text, 1), help="also print a k-cluster partition"
+    )
 
     p = sub.add_parser("report", help="verify a run directory's manifest")
     p.add_argument("--run-dir", required=True)

@@ -675,7 +675,7 @@ class SolverSpy:
 def assert_trees_match_oracle(cfg, monkeypatch, *sets):
     # The data sets are fitted in lockstep, and each must get the model
     # that the reference grows for it alone.
-    got = boosting._fit_lockstep(list(sets), [cfg] * len(sets))
+    got = boosting._fit_lockstep(list(sets), [None] * len(sets), [cfg] * len(sets))
     with monkeypatch.context() as mp:
         mp.setattr(boosting, "_grow_tree", _reference_grow_trees)
         want = [fit_boost(ds, cfg) for ds in sets]
@@ -919,6 +919,27 @@ class TestCv:
             monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
             models.append(model_to_dict(fit_boost_cv(ds, cfg)))
         assert all(m == models[0] for m in models[1:])
+
+    def test_cv_curve_matches_per_fold_oracle(self, monkeypatch):
+        # Each fold fitted alone and replayed over its held-out rows one
+        # tree at a time, past one traversal block, summed in fold order.
+        ds = synth(n=400, seed=13, base_rate=0.2)
+        cfg = small_config(
+            max_trees=boosting._TREE_BLOCK + 20, cv_folds=3, seed=7, cost_ratio=2.0
+        )
+        seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.cv_folds + 1)
+        fold = boosting._stratified_folds(ds.y, cfg.cv_folds, np.random.default_rng(seqs[0]))
+        dev, weight = np.zeros(cfg.max_trees), 0.0
+        for k, seq in enumerate(seqs[1:]):
+            fold_cfg = dataclasses.replace(cfg, seed=int(seq.generate_state(1, np.uint64)[0]))
+            model = fit_boost(ds.take(np.flatnonzero(fold != k)), fold_cfg)
+            yk = ds.y[fold == k].astype(np.float64)
+            wk = np.where(yk == 1, cfg.cost_ratio, 1.0)
+            dev = dev + oracle_staged_deviance_sums(model, ds.X[fold == k], yk, wk)
+            weight = weight + float(wk.sum())
+        for workers in (1, 2):
+            monkeypatch.setattr(boosting, "_workers", lambda n, w=workers: w)
+            assert np.array_equal(fit_boost_cv(ds, cfg).cv_curve, dev / weight)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_fold_surfaces_at_once(self, monkeypatch, workers):
@@ -1216,17 +1237,6 @@ class TestStackedTraversal:
         )
         with pytest.raises(FitError):
             tree.leaf_index(X)
-
-    def test_staged_deviance_sums_bit_identical(self):
-        model = random_ensemble(9, boosting._TREE_BLOCK + 20)
-        rng = np.random.default_rng(10)
-        X = rng.integers(0, 2, size=(boosting._CHUNK_ROWS + 30, 5), dtype=np.uint8)
-        y = (rng.random(len(X)) < 0.3).astype(np.float64)
-        w = np.where(y == 1, 4.0, 1.0)
-        assert np.array_equal(
-            boosting._staged_deviance_sums(model, X, y, w),
-            oracle_staged_deviance_sums(model, X, y, w),
-        )
 
     def test_fitted_model_bit_identical(self):
         ds = synth(n=700, seed=11)

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -266,6 +267,20 @@ class TestSynthesize:
     def test_non_finite_effect_rejected(self, bad):
         with pytest.raises(DatasetError, match="finite"):
             self.spec(effects=(0.0, bad, 0.0, 0.0))
+
+    def test_effects_whose_absolute_sum_overflows_rejected(self):
+        # Each is finite, but a row with all four on would sum past 1.8e308.
+        with pytest.raises(DatasetError, match="absolute sum"):
+            self.spec(effects=(1e308, 1e308, -1e308, -1e308))
+
+    def test_strong_negative_effect_warns_nothing(self):
+        # exp(800 - alpha) overflows to inf: those rows get probability 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = synthesize(self.spec(effects=(-800.0, 0.0, 0.0, 0.0)))
+        on = ds.X[:, 0] == 1
+        assert on.any() and ds.y[on].max() == 0
+        assert ds.y[~on].max() == 1
 
     def test_no_signal_fit_has_chance_auc(self):
         # With all effects zero, any model fit on train should score test

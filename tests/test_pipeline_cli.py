@@ -641,6 +641,7 @@ def _population_gene(cell):
         (_set("dataset.synth.effects=abc"), 1),
         (_set("dataset.synth.effects=.nan"), 1),
         (_set("dataset.synth.effects=.inf"), 1),
+        (_set("dataset.synth.effects=[1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]"), 1),
         (_set("output_dir=5"), 1),
         (_set("analysis=0"), 1),
         (_set_into_non_mapping, 1),
@@ -680,6 +681,19 @@ def test_cluster_k_outside_one_to_p_fails_before_any_output(k, code, tmp_path, c
     assert ("config error: " if code == 1 else "error: k must lie in [1, 6]") in err
     assert "Traceback" not in err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_split_seed_must_be_a_non_negative_integer(seed, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n0,1\n1,0\n1,1\n0,0\n", encoding="utf-8")
+    argv = ["split", "--input", str(data), "--n-train", "2", "--seed", seed,
+            "--train-out", str(tmp_path / "train.csv"), "--test-out", str(tmp_path / "test.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "train.csv").exists()
 
 
 def test_cluster_k_equal_to_p_prints_singletons(tmp_path, capsys):
