@@ -29,8 +29,10 @@ __all__ = [
     "nearest_match",
 ]
 
-# nearest_match holds at most this many (member, row) agreements at once.
-_MATCH_CELLS = 1 << 18
+# nearest_match holds at most this many (member, row) agreements at once,
+# in float32 below _FLOAT32_EXACT predictors.
+_MATCH_CELLS = 1 << 16
+_FLOAT32_EXACT = 1 << 24
 
 
 class SwitchClass(str, enum.Enum):
@@ -166,9 +168,10 @@ def nearest_match(
     positions with equal values (0..p). Rows are compared a block at a
     time, with at most `_MATCH_CELLS` (member, row) pairs in a block, or
     one row when the population is larger. So memory does not grow with
-    the dataset: beyond a float64 copy of the members, one block holds
-    max(_MATCH_CELLS, pop.size) float64 agreements (2 MiB at the default
-    for any population up to 2**18) and its rows as float64.
+    the dataset: beyond a copy of the members, one block holds
+    max(_MATCH_CELLS, pop.size) agreements (256 KiB at the default for any
+    population up to 2**16) and its rows, all float32 while p < 2**24 and
+    float64 beyond.
     """
     if pop.size == 0 or ds.n == 0:
         raise RareRiskError("nearest_match needs non-empty inputs")
@@ -176,15 +179,18 @@ def nearest_match(
         raise RareRiskError(
             f"population has {pop.p} predictors, dataset has {ds.p}"
         )
-    A = pop.members.astype(np.float64)
+    # Agreement of member a and row b is p - |a| - |b| + 2 a.b: the best
+    # over rows of 2 a.b - |b| is kept, and p - |a| added at the end. Every
+    # term and partial sum is an integer of magnitude at most p, or 2 a.b,
+    # an even one at most 2p, so each is exact in float32 while p < 2**24.
+    dtype = np.float32 if pop.p < _FLOAT32_EXACT else np.float64
+    A = pop.members.astype(dtype)
     block = max(1, _MATCH_CELLS // pop.size)
-    # Agreement of member a and row b is p - |a| - |b| + 2 a.b, exact in
-    # float64 for any realistic p: the best over rows of 2 a.b - |b| is
-    # kept, and p - |a| added at the end.
-    top = np.full(pop.size, -np.inf)
+    top = np.full(pop.size, -np.inf, dtype)
+    buf = np.empty((pop.size, min(block, ds.n)), dtype)
     for lo in range(0, ds.n, block):
-        B = ds.X[lo : lo + block].astype(np.float64)
-        agree = A @ B.T
+        B = ds.X[lo : lo + block].astype(dtype)
+        agree = np.matmul(A, B.T, out=buf[:, : len(B)])
         agree *= 2.0
         agree -= B.sum(axis=1)
         np.maximum(top, agree.max(axis=1), out=top)

@@ -35,6 +35,9 @@ __all__ = [
     "base_rate",
 ]
 
+# synthesize draws X at most this many cells at a time (at least four rows).
+_SYNTH_CELLS = 1 << 16
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -333,22 +336,41 @@ def synthesize(spec: SynthSpec) -> DataSet:
     Columns are independent Bernoulli(on_rate_j); the response is Bernoulli
     of sigmoid(alpha + effects . x) with alpha tuned on the realized design
     so the mean response probability equals `base_rate` exactly.
+
+    X is filled a block of rows at a time, so beyond X itself (one byte per
+    cell) and a few float64 n-vectors, the draw holds one block's uniforms
+    and their float64 copy: at most max(`_SYNTH_CELLS`, 4p) cells, and one
+    row more in a last block. The blocks consume the generator as one
+    (n, p) draw does and give every row the path through the signal
+    product that one product would, so X, the signal, alpha and y keep the
+    bits of the one-shot draw.
     """
     rng = np.random.default_rng(spec.seed)
     on = np.asarray(spec.predictor_on_rates)
-    X = (rng.random((spec.n, spec.p)) < on[None, :]).astype(np.uint8)
+    effects = np.asarray(spec.effects)
+    fit = 0.0 < spec.base_rate < 1.0
+    X = np.empty((spec.n, spec.p), np.uint8)
+    signal = np.empty(spec.n) if fit else None
+    # OpenBLAS's gemv kernels take rows in groups of four, and numpy takes
+    # a one-row product as a dot product: whole groups per block and no
+    # one-row last block give each row the path the whole product gives it.
+    rows = max(4, _SYNTH_CELLS // spec.p // 4 * 4)
+    edges = [*range(0, spec.n, rows), spec.n]
+    if len(edges) > 2 and spec.n - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges, edges[1:]):
+        block = X[lo:hi]
+        np.less(rng.random(block.shape), on, out=block)
+        if fit:
+            signal[lo:hi] = block.astype(np.float64) @ effects
 
-    if spec.base_rate == 0.0:
-        y = np.zeros(spec.n, dtype=np.uint8)
-    elif spec.base_rate == 1.0:
-        y = np.ones(spec.n, dtype=np.uint8)
-    else:
-        signal = X.astype(np.float64) @ np.asarray(spec.effects)
+    if fit:
         alpha = _solve_intercept(signal, spec.base_rate)
         with np.errstate(over="ignore"):  # exp overflows to inf: probability 0
             probs = 1.0 / (1.0 + np.exp(-(alpha + signal)))
         y = (rng.random(spec.n) < probs).astype(np.uint8)
-
+    else:  # base rate 0 or 1
+        y = np.full(spec.n, spec.base_rate, np.uint8)
     return DataSet(spec.schema(), X, y)
 
 

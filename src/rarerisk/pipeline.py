@@ -31,7 +31,7 @@ from .boosting import BoostConfig
 from .dataset import DataSet, SynthSpec
 from .dataset import base_rate as dataset_base_rate
 from .dataset import load_csv, split_train_test, synthesize, write_csv
-from .errors import ConfigError, RareRiskError, StageError
+from .errors import ConfigError, DatasetError, RareRiskError, StageError
 from .genetic import GaConfig
 
 __all__ = [
@@ -84,6 +84,11 @@ class PipelineConfig:
             raise ConfigError(
                 "configure exactly one dataset source: dataset.csv or "
                 "dataset.synth"
+            )
+        if self.synth is not None and self.synth.p < 2:
+            # The clustering stage needs two; fail before any fitting.
+            raise ConfigError(
+                "dataset.synth.p must be at least 2 to cluster predictors"
             )
         if self.n_train < 1:
             raise ConfigError("split.n_train must be positive")
@@ -463,6 +468,10 @@ def _stage_dataset(run: _Run) -> None:
         run.data = synthesize(cfg.synth)
     else:
         run.data = load_csv(cfg.csv_path, response=cfg.csv_response)
+        if run.data.p < 2:
+            raise DatasetError(
+                f"{cfg.csv_path} has one predictor; clustering needs at least two"
+            )
     path = run.out / "dataset.csv"
     write_csv(run.data, path)
     run.add_artifact(path, "dataset")

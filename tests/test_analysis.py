@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from rarerisk import analysis
@@ -19,6 +24,11 @@ from conftest import binary_dataset, make_model, make_stump
 def uniform_population(members):
     members = np.asarray(members, np.uint8)
     return Population(members, np.full(members.shape[0], 0.5))
+
+
+def agreement_oracle(members, X):
+    """Best agreement count per member, by comparing integers."""
+    return (members[:, None] == X[None]).sum(-1).max(1)
 
 
 class TestCommonality:
@@ -200,6 +210,46 @@ class TestNearestMatch:
         direct = [max(int(np.sum(m == x)) for x in X) for m in members]
         assert best.tolist() == direct
         assert global_max == max(direct)
+
+    @given(
+        m=st.integers(1, 20),
+        n=st.integers(1, 40),
+        p=st.integers(1, 300),
+        cells=st.integers(1, 200),
+        rate=st.sampled_from([0.02, 0.5, 0.98]),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_integer_oracle(self, m, n, p, cells, rate, wide, seed):
+        # Some members copy a row, so agreements reach p; `wide` takes the
+        # float64 path that p >= 2**24 would take.
+        rng = np.random.default_rng(seed)
+        X = (rng.random((n, p)) < rate).astype(np.uint8)
+        members = (rng.random((m, p)) < rate).astype(np.uint8)
+        members[: m // 2] = X[rng.integers(0, n, m // 2)]
+        with mock.patch.object(analysis, "_MATCH_CELLS", cells), mock.patch.object(
+            analysis, "_FLOAT32_EXACT", 1 if wide else analysis._FLOAT32_EXACT
+        ):
+            best, global_max = nearest_match(
+                uniform_population(members), binary_dataset(X, np.zeros(n))
+            )
+        want = agreement_oracle(members, X)
+        assert best.dtype == np.int64 and np.array_equal(best, want)
+        assert global_max == want.max()
+
+    def test_peak_memory_is_one_block(self, rng):
+        # search_paper's size: 500 members against 22449 rows of 34.
+        members = rng.integers(0, 2, size=(500, 34), dtype=np.uint8)
+        X = rng.integers(0, 2, size=(22449, 34), dtype=np.uint8)
+        pop, ds = uniform_population(members), binary_dataset(X, np.zeros(22449))
+        tracemalloc.start()
+        try:
+            best, _ = nearest_match(pop, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(best[:20], agreement_oracle(members[:20], X))
 
     def test_empty_rejected(self):
         ds = binary_dataset(np.array([[1]], np.uint8), [0])

@@ -1,11 +1,12 @@
 import csv
 import io
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import binom
@@ -327,6 +328,97 @@ class TestSynthesize:
             scores = model.predict(test.X)
             aucs.append(rank_auc(scores, test.y.astype(int)))
         assert 0.45 <= float(np.median(aucs)) <= 0.55
+
+
+def one_shot_synthesize(spec):
+    """synthesize as one (n, p) draw and one signal product: the oracle for
+    the block-wise fill."""
+    rng = np.random.default_rng(spec.seed)
+    on = np.asarray(spec.predictor_on_rates)
+    X = (rng.random((spec.n, spec.p)) < on[None, :]).astype(np.uint8)
+    if spec.base_rate == 0.0:
+        y = np.zeros(spec.n, dtype=np.uint8)
+    elif spec.base_rate == 1.0:
+        y = np.ones(spec.n, dtype=np.uint8)
+    else:
+        signal = X.astype(np.float64) @ np.asarray(spec.effects)
+        alpha = dataset._solve_intercept(signal, spec.base_rate)
+        with np.errstate(over="ignore"):
+            probs = 1.0 / (1.0 + np.exp(-(alpha + signal)))
+        y = (rng.random(spec.n) < probs).astype(np.uint8)
+    return DataSet(spec.schema(), X, y)
+
+
+def _draw_bits(draw, spec):
+    """draw(spec) as (X, y, [signal and alpha bytes of each intercept solve])."""
+    solves = []
+    solve = dataset._solve_intercept
+
+    def spy(signal, target):
+        alpha = solve(signal, target)
+        solves.append(signal.tobytes() + np.float64(alpha).tobytes())
+        return alpha
+
+    with mock.patch.object(dataset, "_solve_intercept", spy):
+        ds = draw(spec)
+    return ds.X.tobytes(), ds.y.tobytes(), solves
+
+
+class TestSynthesizeBlocks:
+    # A budget of `cells` makes blocks of max(4, cells // p // 4 * 4) rows.
+    @given(
+        cells=st.integers(1, 400),
+        n=st.integers(1, 150),
+        p=st.integers(1, 90),
+        base_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(cells=64, n=1, p=5, base_rate=0.3, seed=1)  # a single row
+    @example(cells=16, n=9, p=4, base_rate=0.3, seed=2)  # last block of one row
+    @example(cells=160, n=9, p=40, base_rate=0.3, seed=32)  # the same, where a dot
+    @example(cells=160, n=9, p=40, base_rate=0.3, seed=33)  # product would differ
+    @example(cells=16, n=5, p=4, base_rate=0.3, seed=3)  # one block, then one row
+    @example(cells=50, n=30, p=70, base_rate=0.3, seed=4)  # a row wider than a block
+    @example(cells=64, n=23, p=3, base_rate=0.0, seed=5)
+    @example(cells=64, n=23, p=3, base_rate=1.0, seed=6)
+    def test_blocks_equal_one_shot_draw(self, cells, n, p, base_rate, seed):
+        rng = np.random.default_rng(seed)
+        on = rng.random(p)
+        on[rng.random(p) < 0.1] = 0.0
+        on[rng.random(p) < 0.1] = 1.0
+        spec = SynthSpec(
+            n=n,
+            p=p,
+            base_rate=base_rate,
+            effects=tuple(rng.normal(0.0, 2.0, p)),
+            predictor_on_rates=tuple(on),
+            seed=seed,
+        )
+        with mock.patch.object(dataset, "_SYNTH_CELLS", cells):
+            ours = _draw_bits(synthesize, spec)
+        assert ours == _draw_bits(one_shot_synthesize, spec)
+
+    def test_peak_memory_is_x_and_one_block(self):
+        # Paper scale: 22449 x 34, ten predictors at effect 0.6. The first
+        # draw pays numpy.random's lazy imports outside the trace.
+        def spec(n):
+            return SynthSpec(
+                n=n,
+                p=34,
+                base_rate=0.05,
+                effects=(0.6,) * 10 + (0.0,) * 24,
+                predictor_on_rates=(0.5,) * 34,
+                seed=1,
+            )
+
+        synthesize(spec(10))
+        tracemalloc.start()
+        try:
+            ds = synthesize(spec(22449))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes + (1 << 20)
 
 
 def _intercept_solve(signal, target, solver):

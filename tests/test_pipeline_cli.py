@@ -619,6 +619,35 @@ def _population_gene(cell):
     return make_argv
 
 
+def _synth_predictors(p):
+    """argv that runs the pipeline on a synthetic dataset of p predictors."""
+
+    def make_argv(tmp):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["dataset"]["synth"].update(p=p, effects=1.0)
+        return ["pipeline", "--config", str(write_config(tmp, doc))]
+
+    make_argv.__name__ = f"_synth_predictors_{p}"
+    return make_argv
+
+
+def _csv_predictors(p):
+    """argv that runs the pipeline on a 600-row CSV of p predictors."""
+
+    def make_argv(tmp):
+        rng = np.random.default_rng(9)
+        data = tmp / "data.csv"
+        rows = [",".join([f"x{j + 1}" for j in range(p)] + ["y"])]
+        rows += [",".join(map(str, row)) for row in rng.integers(0, 2, (600, p + 1))]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        doc = {k: v for k, v in MINIMAL.items() if k != "dataset"}
+        doc["dataset"] = {"csv": data.name}
+        return ["pipeline", "--config", str(write_config(tmp, doc))]
+
+    make_argv.__name__ = f"_csv_predictors_{p}"
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv, code",
     [
@@ -647,6 +676,10 @@ def _population_gene(cell):
         (_set_into_non_mapping, 1),
         (_config_is_directory, 1),
         (_config_not_utf8, 1),
+        (_synth_predictors(0), 1),
+        (_synth_predictors(1), 1),
+        (_csv_predictors(0), 2),
+        (_csv_predictors(1), 2),
     ],
 )
 def test_corrupt_input_exits_with_documented_code(
@@ -656,6 +689,8 @@ def test_corrupt_input_exits_with_documented_code(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error: " if code == 1 else "error: ")
+    # Bad input fails before the fit: no run gets as far as a model.
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 def _six_predictor_population(tmp):
