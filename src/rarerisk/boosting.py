@@ -62,9 +62,11 @@ GAMMA_CLIP = 12.0
 _STEP_CLIP = 4.0
 _MARGIN_CLIP = 36.0  # sigmoid(36) is within 2e-16 of 1
 # The traversal kernel walks at most this many rows of at most this many
-# trees at a time.
+# trees at a time. A single tree walks chunks of at most _WALK_CELLS cells
+# of X, but never fewer than _CHUNK_ROWS rows.
 _CHUNK_ROWS = 512
 _TREE_BLOCK = 128
+_WALK_CELLS = 2**20
 # Split search packs the nodes of a tree level into solves of at most this
 # many bag rows, so their matrices stay cache-sized.
 _PACK_ROWS = 4096
@@ -91,12 +93,12 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cost_ratio <= 0:
-            raise FitError("cost_ratio must be positive")
+        if not (math.isfinite(self.cost_ratio) and self.cost_ratio > 0):
+            raise FitError("cost_ratio must be finite and positive")
         if self.interaction_depth < 1:
             raise FitError("interaction_depth must be at least 1")
-        if self.shrinkage <= 0:
-            raise FitError("shrinkage must be positive")
+        if not (math.isfinite(self.shrinkage) and self.shrinkage > 0):
+            raise FitError("shrinkage must be finite and positive")
         if not 0.0 < self.bag_fraction <= 1.0:
             raise FitError("bag_fraction must be in (0, 1]")
         if self.min_node < 1:
@@ -173,9 +175,9 @@ class RegressionTree:
             raise FitError(f"X must be a 2-d matrix with {p} columns")
         st = _stack((self,), 1.0)
         idx = np.empty(X.shape[0], dtype=np.int32)
-        for lo in range(0, X.shape[0], _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            idx[lo:hi] = _walk(st, st.root, X[lo:hi])[0]
+        rows = max(_CHUNK_ROWS, _WALK_CELLS // max(p, 1))
+        for lo in range(0, X.shape[0], rows):
+            idx[lo : lo + rows] = _walk(st, st.root, X[lo : lo + rows])[0]
         return idx
 
 
@@ -542,6 +544,20 @@ def _weights(y: np.ndarray, cost_ratio: float) -> np.ndarray:
     return np.where(y == 1, cost_ratio, 1.0)
 
 
+def _intercept(y: np.ndarray, w: np.ndarray, cost_ratio: float) -> float:
+    """Log-odds of the weighted base rate, the margin a fit starts from.
+    Beyond ±_MARGIN_CLIP the solver would see clipped margins, and the
+    training deviance could rise, so such a fit is refused."""
+    m = float(np.dot(w, y) / float(w.sum()))
+    b = math.log(m / (1.0 - m)) if 0.0 < m < 1.0 else math.inf
+    if abs(b) > _MARGIN_CLIP:
+        raise FitError(
+            f"cost_ratio={cost_ratio:g} puts the weighted base rate at {m:.3g}, "
+            f"whose log-odds lie outside ±{_MARGIN_CLIP:g}"
+        )
+    return b
+
+
 # ---------------------------------------------------------------------------
 # Tree growing
 
@@ -758,8 +774,7 @@ def _fit_lockstep(
 
     ys = [train.y.astype(np.float64) for train in sets]
     ws = [_weights(y, config.cost_ratio) for y in ys]
-    wmean = [float(np.dot(w, y) / float(w.sum())) for y, w in zip(ys, ws)]
-    intercept = [math.log(m / (1.0 - m)) for m in wmean]
+    intercept = [_intercept(y, w, config.cost_ratio) for y, w in zip(ys, ws)]
 
     # y, w and F of every fit, one block after another.
     y, w = np.concatenate(ys), np.concatenate(ws)
@@ -854,8 +869,22 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Worker initializer: exit once orphaned, not wait for tasks for ever."""
+def _init_worker(parent: int) -> None:
+    """Worker initializer: exit once orphaned, not wait for tasks for ever,
+    and pin glibc's malloc thresholds where libc has mallopt. The fit frees
+    and reallocates MB-sized temporaries at every step; under glibc's
+    dynamic thresholds, which a forked worker inherits from whatever its
+    parent last freed, they would be mapped and unmapped, or trimmed from
+    the heap, and faulted in afresh each time. 32 MiB is glibc's cap on the
+    mmap threshold, and 64 MiB the trim threshold its rule sets there."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD in glibc's malloc.h
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
     def watch():
         while os.getppid() == parent:
             time.sleep(0.5)
@@ -869,7 +898,7 @@ def _run_tasks(tasks: list) -> list:
     if (workers := _workers(len(tasks))) == 1:
         return [fn(*args) for fn, args in tasks]
     fork = multiprocessing.get_context("fork")  # spawn would need a __main__ guard
-    with ProcessPoolExecutor(workers, fork, _exit_with_parent, (os.getpid(),)) as pool:
+    with ProcessPoolExecutor(workers, fork, _init_worker, (os.getpid(),)) as pool:
         futures = [pool.submit(fn, *args) for fn, args in tasks]
         try:
             for future in as_completed(futures):

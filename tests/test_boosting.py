@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -127,6 +128,35 @@ class TestFit:
         ds = binary_dataset(np.array([[0], [1]]), np.array([1, 0]))
         with pytest.raises(FitError):
             fit_boost(ds, small_config(min_node=5))
+
+    @pytest.mark.parametrize("key", ["cost_ratio", "shrinkage"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_config_rejected(self, key, value):
+        with pytest.raises(FitError, match=f"^{key} must be finite and positive$"):
+            small_config(**{key: value})
+
+    @staticmethod
+    def _balanced():
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 2, (400, 4))
+        return binary_dataset(X, (rng.random(400) < 0.35 + 0.3 * X[:, 0]).astype(int))
+
+    @pytest.mark.parametrize("cost_ratio", [1e16, 1e-16, 5e-324])
+    def test_intercept_beyond_margin_clip_rejected(self, cost_ratio, monkeypatch):
+        # At 1e16 the weighted base rate rounds to 1; at 1e-16 its log-odds
+        # are about -37, where clipped margins would let the deviance rise.
+        def no_tree(*args):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(boosting, "_grow_tree", no_tree)
+        with pytest.raises(FitError, match=r"log-odds lie outside ±36$"):
+            fit_boost(self._balanced(), small_config(cost_ratio=cost_ratio))
+
+    @pytest.mark.parametrize("cost_ratio", [1e-14, 1e14])
+    def test_intercept_inside_margin_clip_fits(self, cost_ratio):
+        m = fit_boost(self._balanced(), small_config(cost_ratio=cost_ratio, max_trees=40))
+        assert 30 < abs(m.intercept) <= _MARGIN_CLIP
+        assert np.all(np.diff(m.train_deviance) <= 0)
 
     def test_config_echo(self):
         ds = synth(n=400)
@@ -967,6 +997,32 @@ class TestCv:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply(_small_cv_fit, (ds,)) == _small_cv_fit(ds)
 
+    @pytest.mark.skipif(
+        boosting._workers(2) < 2 or not hasattr(ctypes.CDLL(None), "mallopt"),
+        reason="needs two usable CPUs and glibc's mallopt",
+    )
+    def test_worker_reuses_freed_memory(self):
+        # Three 4 MiB arrays freed together leave 12 MiB at the heap top,
+        # past the 8 MiB trim threshold that glibc's dynamic rule sets after
+        # freeing one; unpinned, every round faults them in afresh (about
+        # 3000 faults a round).
+        faults = boosting._run_tasks([(_minor_faults_of_reallocation, (20,))] * 2)
+        assert max(faults) < 256
+
+
+def _minor_faults_of_reallocation(rounds):
+    import resource  # POSIX only, like the forked workers
+
+    def once():
+        arrays = [np.ones(1 << 19) for _ in range(3)]
+        del arrays
+
+    once()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(rounds):
+        once()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
 
 def _small_cv_fit(ds):
     return model_to_dict(fit_boost_cv(ds, small_config(max_trees=5, cv_folds=2)))
@@ -1144,10 +1200,40 @@ class TestStackedTraversal:
         assert np.array_equal(model.margin(X), oracle_margin(model, X))
         assert sorted(set(SCRAMBLED.leaf_index(X))) == [3, 4, 5, 6]
 
-    def test_leaf_index_over_several_chunks(self):
+    @staticmethod
+    def _walked_rows(monkeypatch):
+        """The row count of each _walk call, once it is made."""
+        walked, walk = [], boosting._walk
+
+        def spy(st, roots, X):
+            walked.append(len(X))
+            return walk(st, roots, X)
+        monkeypatch.setattr(boosting, "_walk", spy)
+        return walked
+
+    def test_leaf_index_over_several_chunks(self, monkeypatch):
+        # A budget of _CHUNK_ROWS rows of 5 cells: three chunks, the last short.
+        monkeypatch.setattr(boosting, "_WALK_CELLS", 5 * boosting._CHUNK_ROWS)
+        walked = self._walked_rows(monkeypatch)
         tree = random_tree(np.random.default_rng(5), 5, 8)
         X = np.random.default_rng(6).integers(0, 2, size=(3 * boosting._CHUNK_ROWS - 5, 5))
         assert np.array_equal(tree.leaf_index(X), oracle_leaf_index(tree, X))
+        assert walked == [boosting._CHUNK_ROWS] * 2 + [boosting._CHUNK_ROWS - 5]
+
+    @pytest.mark.parametrize(
+        "shape, chunks",
+        [
+            ((22449, 34), [22449]),  # paper scale: one walk
+            ((40000, 64), [16384, 16384, 7232]),  # 2**20 cells a chunk
+            ((1100, 4096), [512, 512, 76]),  # never fewer than _CHUNK_ROWS rows
+        ],
+    )
+    def test_leaf_index_chunks_bounded_by_cells(self, monkeypatch, shape, chunks):
+        walked = self._walked_rows(monkeypatch)
+        tree = random_tree(np.random.default_rng(9), shape[1], 6)
+        X = np.random.default_rng(10).integers(0, 2, size=shape, dtype=np.uint8)
+        assert np.array_equal(tree.leaf_index(X), oracle_leaf_index(tree, X))
+        assert walked == chunks
 
     def test_replace_never_reuses_tables(self):
         model = random_ensemble(7, 30)

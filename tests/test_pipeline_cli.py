@@ -671,6 +671,12 @@ def _csv_predictors(p):
         (_set("dataset.synth.effects=.nan"), 1),
         (_set("dataset.synth.effects=.inf"), 1),
         (_set("dataset.synth.effects=[1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]"), 1),
+        (_set("boost.cost_ratio=.nan"), 1),
+        (_set("boost.cost_ratio=.inf"), 1),
+        (_set("boost.shrinkage=.nan"), 1),
+        (_set("boost.shrinkage=.inf"), 1),
+        (_set("boost.cost_ratio=1.0e+18"), 2),
+        (_set("boost.cost_ratio=1.0e-16"), 2),
         (_set("output_dir=5"), 1),
         (_set("analysis=0"), 1),
         (_set_into_non_mapping, 1),
