@@ -29,7 +29,6 @@ from .boosting import (
 from .clustering import (
     Dendrogram,
     DissimilarityMatrix,
-    agglomerative_coefficient,
     agnes_average_linkage,
     cut_clusters,
     dendrogram_to_newick,
@@ -52,7 +51,6 @@ from .genetic import (
     Population,
     evolve,
     load_population_csv,
-    mutate,
     save_population_csv,
 )
 from .logistic import LogisticModel, fit_logistic, predict_logistic
@@ -85,7 +83,6 @@ __all__ = [
     "RunManifest",
     "SwitchClass",
     "SynthSpec",
-    "agglomerative_coefficient",
     "agnes_average_linkage",
     "base_rate",
     "commonality_importance",
@@ -102,7 +99,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "load_population_csv",
-    "mutate",
     "nearest_match",
     "predict_logistic",
     "reverse_coding_importance",

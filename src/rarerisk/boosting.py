@@ -72,6 +72,8 @@ _WALK_CELLS = 2**20
 _PACK_ROWS = 4096
 # Damped Newton stops after this many steps.
 _NEWTON_ITERS = 80
+# Relative width of the split search's tie window (see _window).
+_TIE_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -347,11 +349,6 @@ def _loss_terms(y: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.where(y == 1, -F, F))
 
 
-def weighted_deviance(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
-    """Weighted mean Bernoulli deviance (-2 log-likelihood per unit weight)."""
-    return float(2.0 * np.sum(w * _loss_terms(y, F)) / np.sum(w))
-
-
 def _deviance_sum(y: np.ndarray, w: np.ndarray, F: np.ndarray) -> float:
     return float(2.0 * np.sum(w * _loss_terms(y, F)))
 
@@ -562,6 +559,11 @@ def _intercept(y: np.ndarray, w: np.ndarray, cost_ratio: float) -> float:
 # Tree growing
 
 
+def _window(x: np.ndarray) -> np.ndarray:
+    # The least gain tied with a best gain x: the split search's one tie rule.
+    return x - _TIE_WIDTH * np.maximum(1.0, np.abs(x))
+
+
 def _best_splits(
     Xg: np.ndarray,
     yg: np.ndarray,
@@ -579,17 +581,18 @@ def _best_splits(
     node size. Problem 2 (k p + j) + x is side x of predictor j in node k.
     A split's gain is node[k] minus its children's deviances, each at its
     own optimum. The split predictor is the lowest index whose gain is at
-    least top - 1e-9 max(1, |top|), top being the node's best gain, so
-    float noise cannot decide between tied predictors; it is -1 unless
-    that gain exceeds 1e-12. Its two children's deviances come back too.
+    least _window(top), top being the node's best gain, so float noise
+    cannot decide between tied predictors; it is -1 unless that gain
+    exceeds 1e-12. Its two children's deviances come back too.
 
     At the start and again after the first Newton step, _deviance_bounds
     bounds every child, each time within the bounds found before. A
-    candidate whose gain upper bound lies more than 1e-6 max(1, |best|)
-    below best, the largest gain lower bound in its node, is stopped, and
-    so is every invalid one. Once solved, each stopped candidate's upper
-    bound is checked against the exact tie window; if any could still
-    reach it, the group is solved again in full.
+    candidate is stopped, as is every invalid one, once its gain upper
+    bound is below _window(best), best being its node's largest gain lower
+    bound. The candidate that sets best is never stopped, so top >= best,
+    and _window is increasing: no stopped candidate reaches the window.
+    Against rounding, each stopped upper bound is checked against
+    _window(top) once solved; if any reaches it, the group is solved again.
     """
     K, p = valid.shape
     seg = np.repeat(np.arange(0, 2 * K * p, 2 * p), sizes)[:, None] + 2 * np.arange(p)
@@ -610,14 +613,13 @@ def _best_splits(
         np.maximum(lo, l, out=lo, where=fresh)
         np.minimum(hi, u, out=hi, where=fresh)
         best = np.where(valid, gains(hi), -np.inf).max(axis=1, keepdims=True)
-        live[:] &= ~(gains(lo) < best - 1e-6 * np.maximum(1.0, np.abs(best)))
+        live[:] &= ~(gains(lo) < _window(best))
         return np.repeat(~live, 2, axis=1).ravel()
 
     def solve(hook):
         dev = _segment_optima(seg, 2 * K * p, yg, wg, Fg, hook)[1].reshape(K, p, 2)
         gain = np.where(live, gains(dev), -np.inf)
-        top = gain.max(axis=1, keepdims=True)
-        return dev, gain, top - 1e-9 * np.maximum(1.0, np.abs(top))
+        return dev, gain, _window(gain.max(axis=1, keepdims=True))
 
     dev, gain, window = solve(prune)
     if not (gains(lo) < window)[valid & ~live].all():
@@ -774,6 +776,7 @@ def _fit_lockstep(
 
     ys = [train.y.astype(np.float64) for train in sets]
     ws = [_weights(y, config.cost_ratio) for y in ys]
+    weight = [float(w.sum()) for w in ws]
     intercept = [_intercept(y, w, config.cost_ratio) for y, w in zip(ys, ws)]
 
     # y, w and F of every fit, one block after another.
@@ -810,7 +813,7 @@ def _fit_lockstep(
         F = F + config.shrinkage * row_values
         for i, tree in enumerate(grown):
             trees[i].append(tree)
-            train_dev[i, t] = weighted_deviance(ys[i], ws[i], F[start[i] : start[i + 1]])
+            train_dev[i, t] = _deviance_sum(ys[i], ws[i], F[start[i] : start[i + 1]]) / weight[i]
             if i in held_out:
                 yh, wh, Fh = held_out[i]
                 Fh += config.shrinkage * tree.value[leaves[i][sets[i].n :]]

@@ -25,7 +25,6 @@ __all__ = [
     "Dendrogram",
     "gower_binary_dissimilarity",
     "agnes_average_linkage",
-    "agglomerative_coefficient",
     "cut_clusters",
     "dendrogram_to_newick",
 ]
@@ -73,6 +72,9 @@ class Dendrogram:
     objects and merge k creates cluster p+k. merges is a (p-1, 2) int
     array of the two cluster ids joined at heights[k]. first_merge[i] is
     the height at which object i is first absorbed into a cluster.
+    agglomerative_coefficient is the mean over objects of 1 - first_merge
+    / final height: close to 1 when objects join tight clusters long
+    before the final merge, and 1 if every height is zero.
     """
 
     merges: np.ndarray
@@ -203,15 +205,6 @@ def _coefficient_from_heights(first_merge: np.ndarray, top: float) -> float:
         )
         return 1.0
     return float(np.mean(1.0 - first_merge / top))
-
-
-def agglomerative_coefficient(dg: Dendrogram) -> float:
-    """Mean over objects of 1 - (first-merge height / final height).
-
-    Close to 1 when objects join tight clusters long before the final
-    merge; degenerate all-zero dendrograms are defined as 1.
-    """
-    return _coefficient_from_heights(dg.first_merge, float(dg.heights[-1]))
 
 
 def cut_clusters(

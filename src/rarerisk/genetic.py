@@ -25,7 +25,6 @@ __all__ = [
     "Population",
     "GaTrace",
     "evolve",
-    "mutate",
     "save_population_csv",
     "load_population_csv",
 ]
@@ -151,7 +150,7 @@ def _breed(
     return children
 
 
-def mutate(
+def _mutate(
     c: np.ndarray, p_mutation: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Flip each gene independently with probability p_mutation."""
@@ -227,7 +226,7 @@ def evolve(
         )
 
         children = _breed(members, parent_idx, do_cross, cuts)
-        children = mutate(children[:n_children], config.p_mutation, rng)
+        children = _mutate(children[:n_children], config.p_mutation, rng)
 
         # Highest-fitness members survive unchanged, fitness cached.
         elite_idx = np.argsort(fit, kind="stable")[::-1][:n_elite]

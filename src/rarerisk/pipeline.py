@@ -132,22 +132,22 @@ class PipelineConfig:
         return doc
 
 
-_REQUIRED = object()  # a key without a default
-
-# Every key of every config section with its default. boost and ga take
-# theirs from the stage dataclasses, so a new field there needs no edit
-# here; only the keys the pipeline itself reads are listed by hand.
+# Every key of every config section with its default, or with its type
+# if it has none. boost and ga take theirs from the stage dataclasses, so
+# a new field there needs no edit here; only the keys the pipeline itself
+# reads are listed by hand. A key whose default is an int or a bool takes
+# only values of that type (an integral float counts as an int).
 _SCHEMA = {
     "dataset": {"csv": None, "response": None, "synth": None},
-    "split": {"n_train": _REQUIRED, "seed": 0},
+    "split": {"n_train": int, "seed": 0},
     "boost": {**dataclasses.asdict(BoostConfig()), "cv": True, "threshold": 0.5},
     "ga": {**dataclasses.asdict(GaConfig()), "repeats": 1},
     "analysis": {"epsilon": 0.0},
     "report": {"histogram_bins": 20},
 }
 _SYNTH_SCHEMA = {
-    "n": _REQUIRED,
-    "p": _REQUIRED,
+    "n": int,
+    "p": int,
     "base_rate": 0.05,
     "effects": 0.0,
     "on_rates": 0.5,
@@ -157,8 +157,8 @@ _SYNTH_SCHEMA = {
 
 def _resolve(section, schema: dict, where: str) -> dict:
     """section with schema's defaults filled in. None counts as an empty
-    section; a non-mapping, an unknown key or a missing required key is a
-    ConfigError."""
+    section; a non-mapping, an unknown key, a missing required key or a
+    value of the wrong type is a ConfigError."""
     if section is None:
         section = {}
     if not isinstance(section, dict):
@@ -167,9 +167,17 @@ def _resolve(section, schema: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     resolved = {**schema, **section}
-    missing = [key for key, value in resolved.items() if value is _REQUIRED]
-    if missing:
-        raise ConfigError(f"{where}.{missing[0]} is required")
+    for key, value in resolved.items():
+        kind = schema[key] if isinstance(schema[key], type) else type(schema[key])
+        if value is kind:
+            raise ConfigError(f"{where}.{key} is required")
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+        if kind is int:
+            # int() raises on nan and inf; a fraction, a bool or text differs from it.
+            if isinstance(value, bool) or int(value) != value:
+                raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+            resolved[key] = int(value)
     return resolved
 
 
@@ -205,32 +213,31 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> PipelineConfig:
             csv_response = dataset["response"]
         if dataset["synth"] is not None:
             s = _resolve(dataset["synth"], _SYNTH_SCHEMA, "dataset.synth")
-            p = int(s["p"])
             synth = SynthSpec(
-                n=int(s["n"]),
-                p=p,
+                n=s["n"],
+                p=s["p"],
                 base_rate=float(s["base_rate"]),
-                effects=_broadcast(s["effects"], p, "effects"),
-                predictor_on_rates=_broadcast(s["on_rates"], p, "on_rates"),
-                seed=int(s["seed"]),
+                effects=_broadcast(s["effects"], s["p"], "effects"),
+                predictor_on_rates=_broadcast(s["on_rates"], s["p"], "on_rates"),
+                seed=s["seed"],
             )
         boost, ga = sec["boost"], sec["ga"]
-        use_cv, threshold = bool(boost.pop("cv")), float(boost.pop("threshold"))
-        ga_repeats = int(ga.pop("repeats"))
+        use_cv, threshold = boost.pop("cv"), float(boost.pop("threshold"))
+        ga_repeats = ga.pop("repeats")
         return PipelineConfig(
             output_dir=resolve_path(out),
             csv_path=csv_path,
             csv_response=csv_response,
             synth=synth,
-            n_train=int(sec["split"]["n_train"]),
-            split_seed=int(sec["split"]["seed"]),
+            n_train=sec["split"]["n_train"],
+            split_seed=sec["split"]["seed"],
             boost=BoostConfig(**boost),
             use_cv=use_cv,
             threshold=threshold,
             ga=GaConfig(**ga),
             ga_repeats=ga_repeats,
             epsilon=float(sec["analysis"]["epsilon"]),
-            histogram_bins=int(sec["report"]["histogram_bins"]),
+            histogram_bins=sec["report"]["histogram_bins"],
         )
     except ConfigError:
         raise

@@ -22,7 +22,6 @@ from rarerisk.boosting import (
 )
 from rarerisk.clustering import (
     DissimilarityMatrix,
-    agglomerative_coefficient,
     agnes_average_linkage,
     gower_binary_dissimilarity,
 )
@@ -407,7 +406,7 @@ def test_c07_hand_example_coefficient():
         DissimilarityMatrix(d, ("a", "b", "c", "d"))
     )
     assert dg.first_merge.tolist() == [0.2, 0.2, 0.5, 0.5]
-    assert agglomerative_coefficient(dg) == 0.3
+    assert dg.agglomerative_coefficient == 0.3
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from rarerisk.boosting import (
     model_from_dict,
     model_to_dict,
     save_model,
-    weighted_deviance,
 )
 from rarerisk.dataset import SynthSpec, synthesize
 from rarerisk.errors import FitError, StratificationError
@@ -756,6 +755,35 @@ class TestSplitSearchOracle:
         cfg = small_config(interaction_depth=10, min_node=3, max_trees=3)
         assert_trees_match_oracle(cfg, monkeypatch, tie_data(6))
 
+    def test_tie_regime(self, monkeypatch):
+        # Shrinkage 1 at depth 6 all but fits 200 rows within 20 trees, so
+        # later nodes' gains lie below the tie floor, where the screens stop
+        # a candidate only on the tie window and the rule picks the
+        # lowest-index tied predictor.
+        ds = synth(n=200, p=12, effects=(0.8,) * 6 + (0.0,) * 6, base_rate=0.2)
+        spy = SolverSpy(monkeypatch, ds.p)
+        gains = []  # per tree, the chosen gain of each searched node
+        grow, search = boosting._grow_tree, boosting._best_splits
+
+        def grow_tree(*args):
+            gains.append([])
+            return grow(*args)
+
+        def best_splits(*args):
+            out = search(*args)
+            gains[-1].extend(out[1])
+            return out
+
+        monkeypatch.setattr(boosting, "_grow_tree", grow_tree)
+        monkeypatch.setattr(boosting, "_best_splits", best_splits)
+        cfg = small_config(interaction_depth=6, shrinkage=1.0, min_node=1, max_trees=40)
+        assert_trees_match_oracle(cfg, monkeypatch, ds)
+        assert len(gains) == 40
+        assert spy.stopped > 0
+        assert spy.fallbacks == 0
+        late = np.concatenate(gains[20:])
+        assert np.mean(late < 1e-9) > 0.5
+
     def test_wrong_bounds_take_the_fallback(self, monkeypatch):
         # Swapped bounds claim every candidate is far behind some other one,
         # so winners get stopped; the recheck must solve those groups again.
@@ -1473,4 +1501,4 @@ class TestWeightedDeviance:
         F = np.array([0.5, -0.3, 1.0])
         p = expit(F)
         direct = -2 * np.sum(w * (y * np.log(p) + (1 - y) * np.log(1 - p)))
-        assert abs(weighted_deviance(y, w, F) - direct / w.sum()) < 1e-12
+        assert abs(boosting._deviance_sum(y, w, F) / w.sum() - direct / w.sum()) < 1e-12

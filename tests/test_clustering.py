@@ -4,7 +4,6 @@ import pytest
 from rarerisk.clustering import (
     Dendrogram,
     DissimilarityMatrix,
-    agglomerative_coefficient,
     agnes_average_linkage,
     cut_clusters,
     dendrogram_to_newick,
@@ -166,7 +165,7 @@ class TestCoefficient:
     def test_hand_computed_value(self):
         dg = self.four_object_example()
         assert dg.first_merge.tolist() == [0.2, 0.2, 0.5, 0.5]
-        assert agglomerative_coefficient(dg) == 0.3
+        assert dg.agglomerative_coefficient == 0.3
 
     def test_tight_far_clusters_give_one(self):
         d = np.array(
@@ -178,7 +177,7 @@ class TestCoefficient:
             ]
         )
         dg = agnes_average_linkage(DissimilarityMatrix(d, labels_for(4)))
-        assert agglomerative_coefficient(dg) == 1.0
+        assert dg.agglomerative_coefficient == 1.0
 
     def test_degenerate_all_identical(self):
         d = np.zeros((3, 3))
@@ -190,7 +189,7 @@ class TestCoefficient:
         for _ in range(20):
             d = random_matrix(rng, 7)
             dg = agnes_average_linkage(DissimilarityMatrix(d, labels_for(7)))
-            ac = agglomerative_coefficient(dg)
+            ac = dg.agglomerative_coefficient
             assert 0.0 <= ac <= 1.0
 
 

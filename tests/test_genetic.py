@@ -11,8 +11,8 @@ from rarerisk.genetic import (
     evolve,
     load_population_csv,
     _breed,
+    _mutate,
     _rank_probabilities,
-    mutate,
     save_population_csv,
 )
 
@@ -150,11 +150,11 @@ class TestOperators:
 
     def test_mutate_zero_identity(self, rng):
         c = rng.integers(0, 2, 30, dtype=np.uint8)
-        assert np.array_equal(mutate(c, 0.0, rng), c)
+        assert np.array_equal(_mutate(c, 0.0, rng), c)
 
     def test_mutate_one_complement(self, rng):
         c = rng.integers(0, 2, 30, dtype=np.uint8)
-        assert np.array_equal(mutate(c, 1.0, rng), 1 - c)
+        assert np.array_equal(_mutate(c, 1.0, rng), 1 - c)
 
     def test_mutate_mean_flip_rate(self):
         # Mean flips over N trials ~ Normal(p*rate, p*rate*(1-rate)/N).
@@ -168,7 +168,7 @@ class TestOperators:
         # and the operator itself matches the direct mask construction
         rng2 = np.random.default_rng(78)
         flipped = sum(
-            int(np.sum(mutate(c, rate, rng2) != c)) for _ in range(2000)
+            int(np.sum(_mutate(c, rate, rng2) != c)) for _ in range(2000)
         )
         sigma2 = np.sqrt(p * rate * (1 - rate) / 2000)
         assert abs(flipped / 2000 - p * rate) < 3 * sigma2

@@ -114,6 +114,11 @@ class TestConfig:
         assert cfg.boost.max_trees == 15
         assert cfg.ga.pop_size == 40
 
+    def test_integral_floats_pass_as_integers(self, tmp_path):
+        cfg = make_config(tmp_path, **{"boost.max_trees": 15.0, "split.n_train": 450.0})
+        assert (cfg.boost.max_trees, cfg.n_train) == (15, 450)
+        assert type(cfg.boost.max_trees) is int and type(cfg.n_train) is int
+
     def test_set_into_empty_section(self, tmp_path):
         # `boost:` with nothing under it is an empty section, so --set can
         # fill it in just as it fills in a missing one.
@@ -697,6 +702,38 @@ def test_corrupt_input_exits_with_documented_code(
     assert err.startswith("config error: " if code == 1 else "error: ")
     # Bad input fails before the fit: no run gets as far as a model.
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        "boost.interaction_depth=2.5",
+        "boost.max_trees=2.5",
+        "boost.cv_folds=2.5",
+        "boost.seed=2.5",
+        "boost.min_node=2.5",
+        "boost.max_trees='15'",
+        "ga.pop_size=20.5",
+        "ga.generations=2.5",
+        "ga.seed=true",
+        "ga.repeats=1.5",
+        "split.n_train=300.5",
+        "split.seed=false",
+        "dataset.synth.n=600.5",
+        "dataset.synth.p=true",
+        "dataset.synth.seed=1.5",
+        "report.histogram_bins=12.5",
+        "boost.cv=1",
+        "boost.cv='true'",
+    ],
+)
+def test_int_and_bool_keys_reject_other_types(item, tmp_path, capsys):
+    # Such values used to fail only in the stage that read them, or pass
+    # truncated; they must fail before the run starts.
+    assert main(_set(item)(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _six_predictor_population(tmp):
