@@ -207,28 +207,16 @@ def _coefficient_from_heights(first_merge: np.ndarray, top: float) -> float:
     return float(np.mean(1.0 - first_merge / top))
 
 
-def cut_clusters(
-    dg: Dendrogram, k: int | None = None, height: float | None = None
-) -> list[list[int]]:
-    """Partition of object indices induced by stopping the merges.
+def cut_clusters(dg: Dendrogram, k: int) -> list[list[int]]:
+    """The k clusters left after the first p - k merges.
 
-    Give exactly one of k (number of clusters) or height (apply all merges
-    with height <= the cut). Clusters are ordered by their smallest member.
+    Clusters are ordered by their smallest member.
     """
-    if (k is None) == (height is None):
-        raise ClusteringError("give exactly one of k or height")
     p = dg.p
-    if k is not None:
-        if not 1 <= k <= p:
-            raise ClusteringError(f"k must lie in [1, {p}], got {k}")
-        n_merges = p - k
-    else:
-        if height < 0:
-            raise ClusteringError("height must be non-negative")
-        n_merges = int(np.sum(dg.heights <= height))
-
+    if not 1 <= k <= p:
+        raise ClusteringError(f"k must lie in [1, {p}], got {k}")
     sets: dict[int, list[int]] = {i: [i] for i in range(p)}
-    for step in range(n_merges):
+    for step in range(p - k):
         a, b = dg.merges[step]
         sets[p + step] = sets.pop(int(a)) + sets.pop(int(b))
     return sorted((sorted(v) for v in sets.values()), key=lambda s: s[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +68,9 @@ class PredictorSchema:
         return len(self.names)
 
     @staticmethod
-    def default(p: int, response_name: str = "y") -> "PredictorSchema":
+    def default(p: int) -> "PredictorSchema":
         width = max(2, len(str(p)))
-        return PredictorSchema(
-            tuple(f"x{i + 1:0{width}d}" for i in range(p)), response_name
-        )
+        return PredictorSchema(tuple(f"x{i + 1:0{width}d}" for i in range(p)))
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,6 @@ class SynthSpec:
     effects: tuple[float, ...]
     predictor_on_rates: tuple[float, ...]
     seed: int
-    names: tuple[str, ...] = field(default=())
-    response_name: str = "y"
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(float(e) for e in self.effects))
@@ -141,7 +137,6 @@ class SynthSpec:
             "predictor_on_rates",
             tuple(float(r) for r in self.predictor_on_rates),
         )
-        object.__setattr__(self, "names", tuple(self.names))
         if self.n < 1 or self.p < 1:
             raise DatasetError("n and p must be positive")
         if len(self.effects) != self.p or len(self.predictor_on_rates) != self.p:
@@ -153,81 +148,63 @@ class SynthSpec:
             raise DatasetError("effects must be finite, and so must their absolute sum")
         if any(not 0.0 <= r <= 1.0 for r in self.predictor_on_rates):
             raise DatasetError("predictor on-rates must lie in [0, 1]")
-        if self.names and len(self.names) != self.p:
-            raise DatasetError("names, when given, must have length p")
-
-    def schema(self) -> PredictorSchema:
-        if self.names:
-            return PredictorSchema(self.names, self.response_name)
-        return PredictorSchema.default(self.p, self.response_name)
 
 
-def load_csv(
-    path: str | Path,
-    schema: PredictorSchema | None = None,
-    response: str | None = None,
-) -> DataSet:
-    """Load a binary dataset from a one-header CSV of "0"/"1" cells.
+# str.strip over an object array, one C call per cell.
+_strip = np.frompyfunc(str.strip, 1, 1)
 
-    The response column is `schema.response_name` when a schema is given,
-    otherwise `response`, otherwise the last column. Any cell that is not
-    exactly "0" or "1" is an error naming the offending row and column.
+
+def _read_binary_csv(
+    path: str | Path, text_columns: int = 0
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read a UTF-8 CSV of one header row and "0"/"1" cells.
+
+    Blank lines are skipped, and surrounding spaces are stripped from every
+    name and cell. Returns the header, the uint8 cells of all but the last
+    `text_columns` columns, and those columns' cells as an object array of
+    text. Bytes that are not UTF-8, anything the csv module refuses, a file
+    without data rows and a row of the wrong width raise DatasetError; the
+    first cell in row-major order that is not "0" or "1" raises
+    NonBinaryValueError, with its data row counted from 1.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-    if not rows:
-        raise EmptyFileError(f"{path} has a header but no data rows")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"cannot read {path} as a UTF-8 CSV: {exc}") from exc
+    if len(rows) < 2:
+        raise EmptyFileError(f"{path} holds no data rows")
+    header = [name.strip() for name in rows.pop(0)]
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    if (wrong := np.flatnonzero(widths != len(header))).size:
+        i = int(wrong[0])
+        raise DatasetError(
+            f"{path}: data row {i + 1} has {widths[i]} cells, expected {len(header)}"
+        )
+    # An object array keeps each cell whole: a fixed-width str array would
+    # drop trailing NULs and read "0\x00" as "0".
+    cells = _strip(np.array(rows, dtype=object))
+    binary = cells[:, : len(header) - text_columns]
+    ones = binary == "1"
+    valid = ones | (binary == "0")
+    if not valid.all():
+        i, j = np.unravel_index(np.argmin(valid), valid.shape)
+        raise NonBinaryValueError(int(i) + 1, header[j], binary[i, j])
+    return header, ones.view(np.uint8), cells[:, binary.shape[1] :]
 
-    if schema is not None:
-        expected = list(schema.names) + [schema.response_name]
-        if sorted(header) != sorted(expected):
-            raise SchemaMismatchError(
-                f"header {header} does not match schema columns {expected}"
-            )
-        response_name = schema.response_name
-    else:
-        response_name = response if response is not None else header[-1]
-        if response_name not in header:
-            raise SchemaMismatchError(
-                f"response column {response_name!r} not in header"
-            )
 
-    resp_pos = header.index(response_name)
-    pred_names = [h for i, h in enumerate(header) if i != resp_pos]
-    n, width = len(rows), len(header)
+def load_csv(path: str | Path, response: str | None = None) -> DataSet:
+    """Load a binary dataset from a CSV that `_read_binary_csv` accepts.
 
-    data = np.empty((n, width), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetError(
-                f"row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "0":
-                data[i, j] = 0
-            elif cell == "1":
-                data[i, j] = 1
-            else:
-                raise NonBinaryValueError(i + 1, header[j], cell)
-
-    y = data[:, resp_pos]
-    X = np.delete(data, resp_pos, axis=1)
-    out_schema = schema or PredictorSchema(tuple(pred_names), response_name)
-    if schema is not None:
-        # Reorder columns to the schema's declared order.
-        order = [pred_names.index(name) for name in schema.names]
-        X = X[:, order]
-    return DataSet(out_schema, X, y)
+    The response column is `response`, or the last column when it is None.
+    """
+    header, data, _ = _read_binary_csv(path)
+    response = header[-1] if response is None else response
+    if response not in header:
+        raise SchemaMismatchError(f"response column {response!r} not in header")
+    pos = header.index(response)
+    schema = PredictorSchema(tuple(header[:pos] + header[pos + 1 :]), response)
+    return DataSet(schema, np.delete(data, pos, axis=1), data[:, pos])
 
 
 def write_csv(ds: DataSet, path: str | Path) -> None:
@@ -371,7 +348,7 @@ def synthesize(spec: SynthSpec) -> DataSet:
         y = (rng.random(spec.n) < probs).astype(np.uint8)
     else:  # base rate 0 or 1
         y = np.full(spec.n, spec.base_rate, np.uint8)
-    return DataSet(spec.schema(), X, y)
+    return DataSet(PredictorSchema.default(spec.p), X, y)
 
 
 def base_rate(ds: DataSet) -> float:

@@ -22,7 +22,7 @@ class NonBinaryValueError(DatasetError):
 
 
 class SchemaMismatchError(DatasetError):
-    """CSV header does not match the supplied schema."""
+    """The CSV header lacks the named response column."""
 
 
 class EmptyFileError(DatasetError):

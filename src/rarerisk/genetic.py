@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._io import write_artifact
-from .dataset import PredictorSchema
-from .errors import GeneticError
+from .dataset import PredictorSchema, _read_binary_csv
+from .errors import DatasetError, GeneticError
 
 __all__ = [
     "GaConfig",
@@ -266,35 +266,25 @@ def save_population_csv(
 
 
 def load_population_csv(path: str | Path) -> tuple[Population, list[str]]:
-    """Inverse of save_population_csv; returns (population, names)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header or header[-1] != "fitness":
-            raise GeneticError("population CSV must end with a fitness column")
-        names = header[:-1]
-        genes_rows, fitness = [], []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise GeneticError(
-                    f"population CSV line {line} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-            try:
-                genes = [int(v) for v in row[:-1]]
-                fitness.append(float(row[-1]))
-            except ValueError as exc:
-                raise GeneticError(
-                    f"population CSV line {line}: {exc}"
-                ) from None
-            if bad := [g for g in genes if g not in (0, 1)]:
-                raise GeneticError(f"population CSV line {line}: gene {bad[0]} is not 0 or 1")
-            genes_rows.append(genes)
-    if not genes_rows:
-        raise GeneticError("population CSV has no members")
-    pop = Population(
-        np.array(genes_rows, np.uint8), np.array(fitness, np.float64)
-    )
-    return pop, names
+    """Inverse of save_population_csv; returns (population, names).
+
+    The genes follow the dataset CSV's cell rules (`dataset._read_binary_csv`),
+    whose errors come back as GeneticError; the last column must be named
+    fitness and hold finite numbers.
+    """
+    try:
+        header, members, text = _read_binary_csv(path, text_columns=1)
+    except DatasetError as exc:
+        raise GeneticError(f"population CSV: {exc}") from exc
+    if header[-1] != "fitness":
+        raise GeneticError("population CSV must end with a fitness column")
+    try:
+        fitness = text[:, 0].astype(np.float64)
+    except ValueError as exc:
+        raise GeneticError(f"population CSV: {exc}") from None
+    if not (finite := np.isfinite(fitness)).all():
+        i = int(np.argmin(finite))
+        raise GeneticError(
+            f"population CSV: data row {i + 1} has fitness {text[i, 0]!r}"
+        )
+    return Population(members, fitness), header[:-1]

@@ -22,6 +22,11 @@ __all__ = ["LogisticModel", "fit_logistic", "predict_logistic"]
 # (complete or quasi-complete separation).
 _SEPARATION_NORM = 30.0
 
+# IRLS stops once the gradient's largest entry is below _TOL, or after
+# _MAX_ITER steps.
+_MAX_ITER = 50
+_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -72,15 +77,13 @@ def _neg_loglik(y: np.ndarray, z: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
-def fit_logistic(
-    ds: DataSet, max_iter: int = 50, tol: float = 1e-8
-) -> LogisticModel:
+def fit_logistic(ds: DataSet) -> LogisticModel:
     """Maximum-likelihood fit via IRLS with step-halving.
 
     Zero-variance predictor columns are excluded from the solve and get a
     coefficient of exactly 0. Remaining collinearity raises
     SingularMatrixError naming the implicated columns. Diverging
-    coefficients (separation) or hitting max_iter return converged=False
+    coefficients (separation) or hitting _MAX_ITER return converged=False
     with a diagnostic instead of raising; the baseline is illustrative.
     """
     y = ds.y.astype(np.float64)
@@ -112,11 +115,11 @@ def fit_logistic(
     converged = False
     diagnostic = ""
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         z = design @ beta
         prob = _expit(z)
         grad = design.T @ (y - prob)
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < _TOL:
             converged = True
             break
         wdiag = np.maximum(prob * (1.0 - prob), 1e-12)
@@ -144,7 +147,7 @@ def fit_logistic(
             break
     else:
         z = design @ beta
-        if np.max(np.abs(design.T @ (y - _expit(z)))) < tol:
+        if np.max(np.abs(design.T @ (y - _expit(z)))) < _TOL:
             converged = True
 
     if not converged and not diagnostic:

@@ -774,6 +774,8 @@ def verify_manifest(run_dir: str | Path) -> dict:
         with open(manifest_path, encoding="utf-8") as fh:
             doc = json.load(fh)
         entries = [(a["path"], a["sha256"]) for a in doc.get("artifacts", [])]
+        if not all(isinstance(v, str) for entry in entries for v in entry):
+            raise TypeError("artifact path and sha256 must be strings")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed manifest {manifest_path}: {exc!r}") from exc
     mismatched, missing = [], []

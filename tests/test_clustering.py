@@ -204,18 +204,9 @@ class TestCut:
     def test_k_p(self):
         assert cut_clusters(self.dendrogram(), k=3) == [[0], [1], [2]]
 
-    def test_height_cut(self):
-        assert cut_clusters(self.dendrogram(), height=0.3) == [[0, 1], [2]]
-
     def test_invalid_k(self):
         with pytest.raises(ClusteringError):
             cut_clusters(self.dendrogram(), k=5)
-
-    def test_exactly_one_selector(self):
-        with pytest.raises(ClusteringError):
-            cut_clusters(self.dendrogram(), k=2, height=0.1)
-        with pytest.raises(ClusteringError):
-            cut_clusters(self.dendrogram())
 
 
 class TestNewick:

@@ -25,10 +25,12 @@ from rarerisk.dataset import (
 from rarerisk.errors import (
     DatasetError,
     EmptyFileError,
+    GeneticError,
     NonBinaryValueError,
     SchemaMismatchError,
     SynthesisError,
 )
+from rarerisk.genetic import load_population_csv
 
 
 def write_text(path, text):
@@ -48,6 +50,18 @@ class TestSchema:
     def test_rejects_empty(self):
         with pytest.raises(DatasetError):
             PredictorSchema(())
+
+
+# Cells that are not "0" or "1", among them spellings that int() accepts ("+1",
+# "01", the full-width one) and one that a fixed-width str array reads as "0".
+_BAD_CELLS = ["2", "", "+1", "01", "yes", "0\x00", "\uff11"]
+
+# Python 3.10's csv module refuses a NUL byte outright; later versions keep it
+# in the cell.
+try:
+    _CSV_KEEPS_NUL = list(csv.reader(["\x00"])) == [["\x00"]]
+except csv.Error:
+    _CSV_KEEPS_NUL = False
 
 
 class TestLoadCsv:
@@ -85,21 +99,79 @@ class TestLoadCsv:
         with pytest.raises(EmptyFileError):
             load_csv(path)
 
-    def test_schema_mismatch(self, tmp_path):
-        path = write_text(tmp_path / "d.csv", "a,b,y\n0,1,0\n")
-        with pytest.raises(SchemaMismatchError):
-            load_csv(path, schema=PredictorSchema(("a", "c")))
-
-    def test_schema_reorders_columns(self, tmp_path):
-        path = write_text(tmp_path / "d.csv", "b,a,y\n0,1,0\n")
-        ds = load_csv(path, schema=PredictorSchema(("a", "b")))
-        assert ds.X.tolist() == [[1, 0]]
-
     def test_response_by_name(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "y,a,b\n1,0,1\n")
         ds = load_csv(path, response="y")
         assert ds.schema.names == ("a", "b")
         assert ds.y.tolist() == [1]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # A blank first line used to be read as an empty header.
+        path = write_text(tmp_path / "d.csv", "\na, b\n\n 1 ,0\n")
+        ds = load_csv(path)
+        assert ds.schema == PredictorSchema(("a",), "b")
+        assert ds.X.tolist() == [[1]] and ds.y.tolist() == [0]
+
+    def test_unknown_response(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y\n0,1\n")
+        with pytest.raises(SchemaMismatchError):
+            load_csv(path, response="z")
+
+    @given(
+        n=st.integers(1, 12),
+        p=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.lists(
+            st.tuples(st.integers(0, 10**4), st.sampled_from(_BAD_CELLS)),
+            max_size=3,
+        ),
+    )
+    # A lone NUL-padded cell; and bad cells at (row 1, y) and (row 2, x01),
+    # where row-major order names the first and column-major the second.
+    @example(n=1, p=1, seed=0, bad=[(0, "0\x00")])
+    @example(n=2, p=1, seed=0, bad=[(2, "2"), (1, "yes")])
+    def test_one_cell_check_for_datasets_and_populations(
+        self, n, p, seed, bad, tmp_path_factory
+    ):
+        # The same cells as a dataset (response last) and as a population's
+        # genes (fitness after them): both refuse the first bad cell in
+        # row-major order, and a clean table loads back bit-identically.
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(n, p + 1), dtype=np.uint8)
+        fitness = rng.random(n)
+        cells = bits.astype(str).astype(object)
+        for k, token in bad:
+            cells.flat[k % cells.size] = token
+        names = list(PredictorSchema.default(p).names) + ["y"]
+        tmp = tmp_path_factory.mktemp("cells")
+        data, pop = tmp / "d.csv", tmp / "pop.csv"
+        lines = [",".join(row) for row in cells.tolist()]
+        data.write_text("\n".join([",".join(names)] + lines) + "\n", "utf-8")
+        pop.write_text(
+            "\n".join([",".join(names + ["fitness"])]
+                      + [f"{line},{f!r}" for line, f in zip(lines, fitness.tolist())]) + "\n",
+            "utf-8",
+        )
+        if not bad:
+            ds = load_csv(data)
+            population, back_names = load_population_csv(pop)
+            assert ds.schema == PredictorSchema(tuple(names[:-1]))
+            assert np.array_equal(np.column_stack([ds.X, ds.y]), bits)
+            assert back_names == names
+            assert np.array_equal(population.members, bits)
+            assert population.fitness.tobytes() == fitness.tobytes()
+            return
+        with pytest.raises(DatasetError) as exc:
+            load_csv(data)
+        with pytest.raises(GeneticError) as gen:
+            load_population_csv(pop)
+        if _CSV_KEEPS_NUL or not any("\x00" in c for c in cells.flat):
+            i, j = divmod(min(k % cells.size for k, _ in bad), p + 1)
+            assert exc.type is NonBinaryValueError
+            assert (exc.value.row, exc.value.column, exc.value.value) == (
+                i + 1, names[j], cells[i, j]
+            )
+            assert str(exc.value) in str(gen.value)
 
     def test_desk_scale_shape(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -346,7 +418,7 @@ def one_shot_synthesize(spec):
         with np.errstate(over="ignore"):
             probs = 1.0 / (1.0 + np.exp(-(alpha + signal)))
         y = (rng.random(spec.n) < probs).astype(np.uint8)
-    return DataSet(spec.schema(), X, y)
+    return DataSet(PredictorSchema.default(spec.p), X, y)
 
 
 def _draw_bits(draw, spec):

@@ -92,7 +92,7 @@ class TestFit:
         X = rng.integers(0, 2, size=(200, 4), dtype=np.uint8)
         z = -2.0 + X @ np.array([0.5, -0.5, 0.8, 0.0])
         y = (rng.random(200) < 1 / (1 + np.exp(-z))).astype(np.uint8)
-        m = fit_logistic(binary_dataset(X, y), tol=1e-8)
+        m = fit_logistic(binary_dataset(X, y))
         assert m.converged
         probs = predict_logistic(m, X)
         design = np.column_stack([np.ones(200), X.astype(float)])

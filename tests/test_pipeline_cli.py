@@ -579,6 +579,12 @@ def _manifest_missing_keys(tmp):
     return ["report", "--run-dir", str(tmp)]
 
 
+def _manifest_path_not_text(tmp):
+    doc = {"status": "ok", "artifacts": [{"path": 5, "sha256": "x"}]}
+    (tmp / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    return ["report", "--run-dir", str(tmp)]
+
+
 def _set(item):
     """argv that overrides one entry of a valid config with item."""
 
@@ -624,6 +630,28 @@ def _population_gene(cell):
     return make_argv
 
 
+def _file_bytes(command, name, body):
+    """argv that runs split (a dataset) or cluster (a population) on body."""
+
+    def make_argv(tmp):
+        path = tmp / "in.csv"
+        path.write_bytes(body)
+        if command == "cluster":
+            return ["cluster", "--population", str(path), "--svg-out", str(tmp / "d.svg")]
+        return ["split", "--input", str(path), "--n-train", "1",
+                "--train-out", str(tmp / "train.csv"), "--test-out", str(tmp / "test.csv")]
+
+    make_argv.__name__ = f"_{command}_{name}"
+    return make_argv
+
+
+def _pipeline_csv_not_utf8(tmp):
+    (tmp / "data.csv").write_bytes(b"x1,x2,y\n0,1,1\n\xff,0,0\n")
+    doc = {k: v for k, v in MINIMAL.items() if k != "dataset"}
+    doc["dataset"] = {"csv": "data.csv"}
+    return ["pipeline", "--config", str(write_config(tmp, doc))]
+
+
 def _synth_predictors(p):
     """argv that runs the pipeline on a synthetic dataset of p predictors."""
 
@@ -666,9 +694,16 @@ def _csv_predictors(p):
         (_negative_shrinkage_model, 2),
         (_manifest_not_json, 1),
         (_manifest_missing_keys, 1),
+        (_manifest_path_not_text, 1),
         (_population_not_numeric, 2),
         (_population_gene("-1"), 2),
         (_population_gene("256"), 2),
+        (_population_gene("+1"), 2),
+        (_file_bytes("cluster", "not_utf8", b"x1,x2,fitness\n1,0,0.5\n1,\xff,0.25\n"), 2),
+        (_file_bytes("cluster", "nan_fitness", b"x1,x2,fitness\n1,0,0.5\n1,1,nan\n"), 2),
+        (_file_bytes("split", "not_utf8", b"x1,y\n0,1\n\xff,0\n"), 2),
+        (_file_bytes("split", "long_cell", b"x1,y\n0,1\n" + b"0" * 200_000 + b",0\n"), 2),
+        (_pipeline_csv_not_utf8, 2),
         (_set("boost.threshold=abc"), 1),
         (_set("ga.repeats=abc"), 1),
         (_set("dataset.synth.n=abc"), 1),
