@@ -9,7 +9,6 @@ predictor columns disagree.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +34,7 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """Symmetric p x p distances in [0, 1] with a zero diagonal."""
+    """Exactly symmetric p x p distances in [0, 1], zero diagonal."""
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -46,7 +45,7 @@ class DissimilarityMatrix:
             raise ClusteringError("dissimilarity matrix must be square")
         if d.shape[0] < 2:
             raise ClusteringError("need at least two objects to cluster")
-        if not np.allclose(d, d.T, atol=0.0):
+        if not np.array_equal(d, d.T):
             raise ClusteringError("dissimilarity matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ClusteringError("diagonal must be exactly zero")
@@ -143,53 +142,33 @@ def agnes_average_linkage(
         raise ClusteringError("label count must match matrix size")
 
     work = np.array(d.values)
-    np.fill_diagonal(work, np.inf)
-    cluster_id = list(range(p))  # id of the active cluster in each slot
-    size = [1] * p
-    active = [True] * p
-
+    np.fill_diagonal(work, np.inf)  # merged-away slots hold inf as well
+    ids = np.arange(p)  # id of the cluster held in each slot
+    size = np.ones(p)
     merges = np.empty((p - 1, 2), dtype=np.int64)
     heights = np.empty(p - 1)
-    first_merge = np.full(p, np.nan)
-    leaf_sets: list[list[int]] = [[i] for i in range(p)]
 
     for step in range(p - 1):
-        slots = [s for s in range(p) if active[s]]
-        dmin = min(work[a, b] for i, a in enumerate(slots) for b in slots[i + 1:])
-        best = None  # (id_a, id_b) among pairs tied with the minimum
-        for i, a in enumerate(slots):
-            for b in slots[i + 1:]:
-                if work[a, b] > dmin + TIE_TOL:
-                    continue
-                ia, ib = cluster_id[a], cluster_id[b]
-                key = (min(ia, ib), max(ia, ib))
-                if best is None or key < best:
-                    best = key
-                    slot_a, slot_b = a, b
-                    height = float(work[a, b])
-        ida, idb = best
-        merges[step] = (ida, idb)
-        heights[step] = height
-        for leaf in leaf_sets[slot_a] + leaf_sets[slot_b]:
-            if math.isnan(first_merge[leaf]):
-                first_merge[leaf] = height
+        # work stays exactly symmetric: its minimum is the upper triangle's.
+        rows, cols = np.nonzero(np.triu(work <= work.min() + TIE_TOL, 1))
+        lo, hi = np.sort((ids[rows], ids[cols]), axis=0)
+        k = np.lexsort((hi, lo))[0]
+        a, b = rows[k], cols[k]
+        merges[step] = lo[k], hi[k]
+        heights[step] = work[a, b]
 
-        # Lance-Williams update for UPGMA: size-weighted mean of the two
-        # merged clusters' distances to every other active cluster.
-        na, nb = size[slot_a], size[slot_b]
-        for c in range(p):
-            if c in (slot_a, slot_b) or not active[c]:
-                continue
-            work[slot_a, c] = work[c, slot_a] = (
-                na * work[slot_a, c] + nb * work[slot_b, c]
-            ) / (na + nb)
-        active[slot_b] = False
-        work[slot_b, :] = np.inf
-        work[:, slot_b] = np.inf
-        size[slot_a] = na + nb
-        cluster_id[slot_a] = p + step
-        leaf_sets[slot_a] = leaf_sets[slot_a] + leaf_sets[slot_b]
+        # Lance-Williams update for UPGMA into slot a: the size-weighted
+        # mean of a's and b's distances; inf stays inf in the dead slots.
+        na, nb = size[a], size[b]
+        work[a, :] = work[:, a] = (na * work[a] + nb * work[b]) / (na + nb)
+        work[b, :] = work[:, b] = np.inf
+        size[a] = na + nb
+        ids[a] = p + step
 
+    # An object's id appears in exactly one merge: the one that absorbs it.
+    first_merge = np.empty(p)
+    steps, sides = np.nonzero(merges < p)
+    first_merge[merges[steps, sides]] = heights[steps]
     heights = np.maximum.accumulate(heights)  # guard float jitter on ties
     ac = _coefficient_from_heights(first_merge, heights[-1])
     return Dendrogram(merges, heights, first_merge, labels, ac)
@@ -241,6 +220,6 @@ def dendrogram_to_newick(dg: Dendrogram) -> str:
 
 
 def _escape_newick(label: str) -> str:
-    if any(ch in label for ch in "(),:;' \t"):
+    if any(ch in "(),:;'[]_" or ch.isspace() for ch in label):
         return "'" + label.replace("'", "''") + "'"
     return label

@@ -591,11 +591,11 @@ def _stage_analysis(run: _Run) -> None:
 
 def _write_stability(run: _Run) -> None:
     """Commonality stability across repeated searches with shifted seeds."""
-    all_traces = [run.trace] + run.repeat_traces
-    props = np.vstack(
-        [t.final.members.mean(axis=0) for t in all_traces]
-    )
-    eps = run.cfg.epsilon
+    common = [
+        analysis.commonality_importance(t.final, run.cfg.epsilon)
+        for t in [run.trace] + run.repeat_traces
+    ]
+    props = np.vstack([c.proportion_on for c in common])
     rows = [
         [
             "predictor",
@@ -609,14 +609,15 @@ def _write_stability(run: _Run) -> None:
     names = run.data.schema.names
     for j in range(props.shape[1]):
         col = props[:, j]
+        classes = [c.switch_class[j] for c in common]
         rows.append(
             [
                 names[j],
                 f"{col.mean():.6f}",
                 f"{col.min():.6f}",
                 f"{col.max():.6f}",
-                str(int(np.sum(col >= 1.0 - eps))),
-                str(int(np.sum(col <= eps))),
+                str(classes.count(analysis.SwitchClass.ALWAYS_ON)),
+                str(classes.count(analysis.SwitchClass.ALWAYS_OFF)),
             ]
         )
     path = run.out / "commonality_stability.csv"

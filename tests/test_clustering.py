@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rarerisk.clustering import (
     Dendrogram,
@@ -50,6 +54,27 @@ def random_matrix(rng, p):
 
 def labels_for(p):
     return tuple(f"v{i}" for i in range(p))
+
+
+def gower_of(members):
+    members = np.asarray(members, np.uint8)
+    pop = Population(members, np.full(members.shape[0], 0.5))
+    return gower_binary_dissimilarity(pop).values
+
+
+@st.composite
+def gower_matrices(draw):
+    # Entries are multiples of 1/m, so the tie band decides many merges.
+    m, p = draw(st.integers(1, 8)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gower_of(rng.integers(0, 2, size=(m, p)))
+
+
+@st.composite
+def random_matrices(draw):
+    p = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_matrix(rng, p)
 
 
 class TestGower:
@@ -140,6 +165,39 @@ class TestAverageLinkage:
             assert _partition_labels(base) == _partition_labels(permuted)
 
 
+class TestMergeLoopOracle:
+    @given(d=st.one_of(gower_matrices(), random_matrices()))
+    @example(d=np.zeros((5, 5)))  # all columns identical: every height 0
+    @example(d=np.array([[0.0, 0.25], [0.25, 0.0]]))  # p = 2
+    @example(  # a 3-member population: thirds, mostly tied
+        d=gower_of([[1, 0, 1, 1, 0, 0], [0, 0, 1, 1, 1, 0], [1, 1, 0, 1, 0, 1]])
+    )
+    def test_matches_naive_oracle_on_ties(self, d):
+        p = d.shape[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dg = agnes_average_linkage(DissimilarityMatrix(d, labels_for(p)))
+        merges, heights = naive_average_linkage(d)
+        assert dg.merges.tolist() == [list(m) for m in merges]
+        assert np.max(np.abs(dg.heights - np.array(heights))) < 1e-12
+        # An object's first merge is the oracle's merge that names it.
+        expected = np.full(p, np.nan)
+        for step, pair in enumerate(merges):
+            for obj in pair:
+                if obj < p:
+                    expected[obj] = heights[step]
+        assert np.max(np.abs(dg.first_merge - expected)) < 1e-12
+        top = dg.heights[-1]
+        if top > 0.0:
+            assert not caught
+            assert dg.agglomerative_coefficient == float(
+                np.mean(1.0 - dg.first_merge / top)
+            )
+        else:
+            assert [w.category for w in caught] == [RuntimeWarning]
+            assert dg.agglomerative_coefficient == 1.0
+
+
 def _partition_labels(dg):
     """Set of frozen label-sets created at each merge step."""
     sets = {i: frozenset([dg.labels[i]]) for i in range(dg.p)}
@@ -216,18 +274,24 @@ class TestNewick:
         assert dendrogram_to_newick(dg) == "(aa:0.4,bb:0.4);"
 
     def test_quoting(self):
+        # A Newick reader takes [...] as a comment and an unquoted _ as a
+        # blank; default names such as x01 stay bare.
         d = np.array([[0.0, 0.4], [0.4, 0.0]])
-        dg = agnes_average_linkage(
-            DissimilarityMatrix(d, ("needs space", "plain"))
-        )
-        assert dendrogram_to_newick(dg).startswith("('needs space':0.4")
+        for label in ("needs space", "prior[dv]", "a]b", "prior_arrest",
+                      "tab\tx", "line\nbreak", "nbsp\u00a0x"):
+            dg = agnes_average_linkage(DissimilarityMatrix(d, (label, "x01")))
+            assert dendrogram_to_newick(dg) == f"('{label}':0.4,x01:0.4);"
 
 
 class TestValidation:
     def test_asymmetry_rejected(self):
-        d = np.array([[0.0, 0.2], [0.3, 0.0]])
-        with pytest.raises(ClusteringError):
-            DissimilarityMatrix(d, labels_for(2))
+        # The second differs by 1e-7, within numpy's default rtol.
+        for d in (
+            [[0.0, 0.2], [0.3, 0.0]],
+            [[0.0, 0.3, 0.5], [0.3000001, 0.0, 0.5], [0.5, 0.5, 0.0]],
+        ):
+            with pytest.raises(ClusteringError, match="symmetric"):
+                DissimilarityMatrix(np.array(d), labels_for(len(d)))
 
     def test_nonzero_diagonal_rejected(self):
         d = np.array([[0.1, 0.2], [0.2, 0.0]])
