@@ -764,7 +764,8 @@ def _fit_lockstep(
     with held-out rows held[i] gives its total weighted deviance on them
     after each tree, and their weight: its held-out margins advance with
     each refit tree by the same shrunken leaf values as its training
-    margins, so nothing is replayed after the fit."""
+    margins, so nothing is replayed after the fit. It keeps no tree and no
+    training deviance."""
     config = configs[0]
     for train in sets:
         if train.y.min() == train.y.max():
@@ -812,29 +813,28 @@ def _fit_lockstep(
         grown, row_values = _refit_leaves(grown, in_fit, y, w, F)
         F = F + config.shrinkage * row_values
         for i, tree in enumerate(grown):
-            trees[i].append(tree)
-            train_dev[i, t] = _deviance_sum(ys[i], ws[i], F[start[i] : start[i + 1]]) / weight[i]
             if i in held_out:
                 yh, wh, Fh = held_out[i]
                 Fh += config.shrinkage * tree.value[leaves[i][sets[i].n :]]
                 held_dev[i, t] = _deviance_sum(yh, wh, Fh)
+            else:
+                trees[i].append(tree)
+                train_dev[i, t] = _deviance_sum(ys[i], ws[i], F[start[i] : start[i + 1]]) / weight[i]
 
-    fits = [
-        BoostModel(
-            intercept=b,
-            trees=tuple(fit_trees),
+    return [
+        (held_dev[i], float(held_out[i][1].sum())) if i in held_out
+        else BoostModel(
+            intercept=intercept[i],
+            trees=tuple(trees[i]),
             shrinkage=config.shrinkage,
-            n_trees_used=len(fit_trees),
-            config=c,
+            n_trees_used=len(trees[i]),
+            config=configs[i],
             n_predictors=train.p,
-            train_deviance=dev,
+            train_deviance=train_dev[i],
             predictor_names=train.schema.names,
         )
-        for train, b, fit_trees, c, dev in zip(sets, intercept, trees, configs, train_dev)
+        for i, train in enumerate(sets)
     ]
-    for i, (_, wh, _) in held_out.items():
-        fits[i] = held_dev[i], float(wh.sum())
-    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Binary-predictor / binary-response datasets: CSV ingestion, splitting,
-and a planted-signal synthetic generator.
+"""Binary-predictor / binary-response datasets: the binary CSV reader and
+writer, splitting, and a planted-signal synthetic generator.
 
 Every dataset is an n x p matrix of {0,1} indicator predictors with named
 columns plus a {0,1} response vector. All operations are pure given their
@@ -9,9 +9,11 @@ inputs and seed; arrays are frozen after construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,6 +195,52 @@ def _read_binary_csv(
     return header, ones.view(np.uint8), cells[:, binary.shape[1] :]
 
 
+def _write_binary_csv(
+    path: str | Path,
+    header: Sequence[str],
+    bits: np.ndarray,
+    text: Iterable[str] | None = None,
+) -> None:
+    """Write what `_read_binary_csv` reads back unchanged: the header, then
+    one row per row of the 0/1 matrix bits, in the bytes csv.writer writes.
+
+    The header goes through csv.writer. In the body a digit sits at every
+    even offset of a row, with commas between; the row's cell of text, when
+    given (one per row, needing no quotes, such as a float's repr), follows
+    its bits after a comma; and "\r\n" ends each row. A header that would
+    not read back unchanged (a name with surrounding spaces as str.strip
+    sees them, say, or one csv.writer refuses) and a matrix without rows
+    raise DatasetError before anything is written.
+    """
+    buf = io.StringIO(newline="")
+    try:
+        csv.writer(buf).writerow(header)
+        line = buf.getvalue()
+        line.encode("utf-8")
+        read = next(csv.reader(io.StringIO(line, newline="")))
+    except (csv.Error, UnicodeEncodeError) as exc:
+        raise DatasetError(f"cannot write header {header!r}: {exc}") from exc
+    for name, back in zip(header, read):
+        if back.strip() != name:
+            raise DatasetError(f"name {name!r} would read back as {back.strip()!r}")
+    n, k = bits.shape
+    if not n:
+        raise DatasetError(f"no data rows to write to {path}")
+    # Each row is its k digits, a comma after each, then "\n".
+    rows = np.full((n, 2 * k + 1), ord(","), np.uint8)
+    rows[:, 0 : 2 * k : 2] = bits + ord("0")
+    rows[:, -1] = ord("\n")
+    if text is None:
+        rows[:, -2] = ord("\r")
+        body = rows.tobytes().decode("ascii")
+    else:
+        heads = rows.tobytes().decode("ascii").split("\n")
+        body = "".join(map("{}{}\r\n".format, heads, text))
+    with write_artifact(path) as fh:
+        fh.write(line)
+        fh.write(body)
+
+
 def load_csv(path: str | Path, response: str | None = None) -> DataSet:
     """Load a binary dataset from a CSV that `_read_binary_csv` accepts.
 
@@ -208,16 +256,11 @@ def load_csv(path: str | Path, response: str | None = None) -> DataSet:
 
 
 def write_csv(ds: DataSet, path: str | Path) -> None:
-    """Write a dataset as CSV; `load_csv` reproduces it bit-exactly."""
-    # The bytes csv.writer writes for rows of one-digit cells: a digit at
-    # every even offset, commas between them and \r\n at the end.
-    body = np.full((ds.n, 2 * ds.p + 3), ord(","), np.uint8)
-    body[:, 0 : 2 * ds.p : 2] = ds.X + ord("0")
-    body[:, 2 * ds.p] = ds.y + ord("0")
-    body[:, -2:] = (ord("\r"), ord("\n"))
-    with write_artifact(path) as fh:
-        csv.writer(fh).writerow(list(ds.schema.names) + [ds.schema.response_name])
-        fh.write(body.tobytes().decode("ascii"))
+    """Write a dataset as CSV, the response last; `load_csv` reproduces it
+    bit-exactly. A name that would not read back unchanged raises
+    DatasetError, and nothing is written."""
+    names = list(ds.schema.names) + [ds.schema.response_name]
+    _write_binary_csv(path, names, np.column_stack([ds.X, ds.y]))
 
 
 def split_train_test(

@@ -9,15 +9,13 @@ unchanged, which makes the best-fitness trace non-decreasing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import write_artifact
-from .dataset import PredictorSchema, _read_binary_csv
+from .dataset import PredictorSchema, _read_binary_csv, _write_binary_csv
 from .errors import DatasetError, GeneticError
 
 __all__ = [
@@ -253,16 +251,25 @@ def evolve(
 def save_population_csv(
     pop: Population, path: str | Path, names: Sequence[str] | None = None
 ) -> None:
-    """Write members plus a fitness column; reload is bit-identical."""
+    """Write members plus a fitness column; reload is bit-identical.
+
+    A non-finite fitness, or a name that would not read back unchanged,
+    raises GeneticError, and nothing is written."""
     if names is None:
         names = PredictorSchema.default(pop.p).names
     if len(names) != pop.p:
         raise GeneticError(f"need {pop.p} predictor names, got {len(names)}")
-    with write_artifact(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["fitness"])
-        for genes, fv in zip(pop.members, pop.fitness):
-            writer.writerow([str(int(g)) for g in genes] + [repr(float(fv))])
+    if not (finite := np.isfinite(pop.fitness)).all():
+        i = int(np.argmin(finite))
+        raise GeneticError(
+            f"population CSV: member {i + 1} has fitness {float(pop.fitness[i])!r}"
+        )
+    try:
+        _write_binary_csv(
+            path, [*names, "fitness"], pop.members, map(repr, pop.fitness.tolist())
+        )
+    except DatasetError as exc:
+        raise GeneticError(f"population CSV: {exc}") from exc
 
 
 def load_population_csv(path: str | Path) -> tuple[Population, list[str]]:

@@ -48,19 +48,6 @@ OUTPUT_DIR_ENV = "RARERISK_OUTPUT_DIR"
 MANIFEST_FORMAT = "rarerisk.run_manifest"
 MANIFEST_VERSION = 1
 
-STAGES = (
-    "dataset",
-    "split",
-    "baseline",
-    "boost",
-    "confusion",
-    "ga",
-    "analysis",
-    "clustering",
-    "reports",
-)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Fully resolved pipeline settings; one dataset source only."""
@@ -365,6 +352,11 @@ class _Run:
             }
         )
 
+    def add_twin(self, paths: Sequence[Path], kind: str) -> None:
+        """Register a table's CSV as kind and its JSON twin as kind_json."""
+        for path in paths:
+            self.add_artifact(path, kind if path.suffix == ".csv" else f"{kind}_json")
+
     def add_json(self, name: str, kind: str, doc: dict) -> None:
         path = self.out / name
         write_json(path, doc)
@@ -542,11 +534,8 @@ def _stage_boost(run: _Run) -> None:
 
 def _stage_confusion(run: _Run) -> None:
     table = boosting.confusion(run.model, run.test, run.cfg.threshold)
-    for path in reports.write_confusion_table(table, run.out / "confusion"):
-        kind = (
-            "confusion_table" if path.suffix == ".csv" else "confusion_table_json"
-        )
-        run.add_artifact(path, kind)
+    paths = reports.write_confusion_table(table, run.out / "confusion")
+    run.add_twin(paths, "confusion_table")
 
 
 def _stage_ga(run: _Run) -> None:
@@ -651,16 +640,8 @@ def _stage_reports(run: _Run) -> None:
     paths = write_importance(
         run.model, names, run.commonality, run.reverse, run.out / "importance"
     )
-    for path in paths:
-        kind = (
-            "importance_table"
-            if path.suffix == ".csv"
-            else "importance_table_json"
-        )
-        run.add_artifact(path, kind)
-    for path in reports.write_ga_trace(run.trace, run.out / "ga_trace"):
-        kind = "ga_trace" if path.suffix == ".csv" else "ga_trace_json"
-        run.add_artifact(path, kind)
+    run.add_twin(paths, "importance_table")
+    run.add_twin(reports.write_ga_trace(run.trace, run.out / "ga_trace"), "ga_trace")
     pop_path = run.out / "population.csv"
     genetic.save_population_csv(run.trace.final, pop_path, names=names)
     run.add_artifact(pop_path, "population")
@@ -677,6 +658,7 @@ _STAGE_FUNCS = {
     "clustering": _stage_clustering,
     "reports": _stage_reports,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_pipeline(config: PipelineConfig) -> RunManifest:

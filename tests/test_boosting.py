@@ -978,6 +978,20 @@ class TestCv:
             models.append(model_to_dict(fit_boost_cv(ds, cfg)))
         assert all(m == models[0] for m in models[1:])
 
+    def test_fold_fits_keep_only_their_held_out_curve(self, monkeypatch):
+        # Per tree, each of the five folds sums its held-out deviance and
+        # the refit its training deviance; a fold sums no training deviance.
+        ds = synth(n=500, seed=11, base_rate=0.2)
+        cfg = small_config(max_trees=4, cv_folds=5, seed=9, cost_ratio=2.0)
+        calls = []
+        deviance_sum = boosting._deviance_sum
+        monkeypatch.setattr(boosting, "_workers", lambda n: 1)
+        monkeypatch.setattr(
+            boosting, "_deviance_sum", lambda *a: calls.append(1) or deviance_sum(*a)
+        )
+        fit_boost_cv(ds, cfg)
+        assert len(calls) == 6 * cfg.max_trees
+
     def test_cv_curve_matches_per_fold_oracle(self, monkeypatch):
         # Each fold fitted alone and replayed over its held-out rows one
         # tree at a time, past one traversal block, summed in fold order.

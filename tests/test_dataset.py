@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -30,7 +31,7 @@ from rarerisk.errors import (
     SchemaMismatchError,
     SynthesisError,
 )
-from rarerisk.genetic import load_population_csv
+from rarerisk.genetic import Population, load_population_csv, save_population_csv
 
 
 def write_text(path, text):
@@ -184,32 +185,90 @@ class TestLoadCsv:
         loaded = load_csv(path)
         assert loaded.n == 22449 and loaded.p == 34
 
+
+# Characters that csv.writer quotes, that str.strip removes (\x1c to \x1f,
+# \x85 and Unicode spaces among them) or that Python 3.10's csv refuses,
+# mixed into st.text()'s draws so that the property meets each of them often.
+_NAME_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\r\n\x00 \t\x1c\x85\xa0\u2028\u3000'), st.characters()),
+    max_size=4,
+)
+
+
+def _write_or_refuse(write, table, rows, error, refused, tmp):
+    """write(table, tmp / "t.csv"). If refused, it must raise error and
+    leave tmp empty; otherwise tmp must hold just that file, in the bytes
+    csv.writer writes for rows. Returns the path written, or None."""
+    path = tmp / "t.csv"
+    if refused:
+        with pytest.raises(error):
+            write(table, path)
+        assert list(tmp.iterdir()) == []
+        return None
+    write(table, path)
+    want = io.StringIO()
+    csv.writer(want).writerows(rows)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert list(tmp.iterdir()) == [path]
+    return path
+
+
+class TestBinaryCsvRoundTrip:
+    """Every file that write_csv and save_population_csv write reads back
+    bit-identically, in the bytes csv.writer writes; a table the reader
+    would not give back raises the writer's typed error, and nothing is
+    written."""
+
     @given(
-        n=st.integers(1, 12),
-        p=st.integers(1, 6),
+        names=st.lists(_NAME_TEXT, min_size=2, max_size=7, unique=True),
+        fitness=st.lists(st.floats(), min_size=1, max_size=12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_round_trip(self, n, p, seed, tmp_path_factory):
-        # The first name needs quoting; the file holds the bytes csv.writer
-        # writes row by row.
-        rng = np.random.default_rng(seed)
-        names = ("a,b",) + PredictorSchema.default(p).names[1:]
-        ds = DataSet(
-            PredictorSchema(names),
-            rng.integers(0, 2, size=(n, p), dtype=np.uint8),
-            rng.integers(0, 2, size=n, dtype=np.uint8),
+    @example(names=["a\x1c", "y"], fitness=[0.5], seed=0)
+    @example(names=["a", " a"], fitness=[0.5], seed=0)
+    @example(names=["a", "y"], fitness=[0.5, math.nan], seed=0)
+    @example(names=["a", "y"], fitness=[-math.inf, 0.5], seed=0)
+    @example(names=[',"\n', "y"], fitness=[0.5, 0.25], seed=0)
+    @example(names=["a", "y"], fitness=[0.5], seed=1)  # p = 1, one row
+    @example(names=["a", "b", "y"], fitness=[5e-324, -0.0, 1e16], seed=2)
+    def test_reads_back_or_refuses(self, names, fitness, seed, tmp_path_factory):
+        # names holds p predictor names and the response name (a population
+        # takes the first p), and fitness one value per row.
+        fitness = np.array(fitness)
+        n, p = len(fitness), len(names) - 1
+        bits = np.random.default_rng(seed).integers(0, 2, size=(n, p + 1), dtype=np.uint8)
+        ds = DataSet(PredictorSchema(tuple(names[:p]), names[p]), bits[:, :p], bits[:, p])
+        pop = Population(bits[:, :p], fitness)
+        # The names the reader would not give back: it strips every name, and
+        # Python 3.10's refuses a NUL.
+        changed = [
+            name.strip() != name or ("\x00" in name and not _CSV_KEEPS_NUL)
+            for name in names
+        ]
+
+        path = _write_or_refuse(
+            write_csv, ds, [names] + bits.tolist(), DatasetError, any(changed),
+            tmp_path_factory.mktemp("data"),
         )
-        path = tmp_path_factory.mktemp("rt") / "d.csv"
-        write_csv(ds, path)
-        want = io.StringIO()
-        writer = csv.writer(want)
-        writer.writerow(list(names) + ["y"])
-        writer.writerows(np.column_stack([ds.X, ds.y]).tolist())
-        assert path.read_bytes() == want.getvalue().encode("utf-8")
-        back = load_csv(path)
-        assert back.schema == ds.schema
-        assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.y, ds.y)
+        if path is not None:
+            back = load_csv(path)
+            assert back.schema == ds.schema
+            assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+        rows = [names[:p] + ["fitness"]] + [
+            genes + [repr(f)] for genes, f in zip(bits[:, :p].tolist(), fitness.tolist())
+        ]
+        path = _write_or_refuse(
+            lambda pop, path: save_population_csv(pop, path, names[:p]),
+            pop, rows, GeneticError,
+            any(changed[:p]) or not np.isfinite(fitness).all(),
+            tmp_path_factory.mktemp("pop"),
+        )
+        if path is not None:
+            back, back_names = load_population_csv(path)
+            assert back_names == names[:p]
+            assert np.array_equal(back.members, pop.members)
+            assert back.fitness.tobytes() == pop.fitness.tobytes()
 
 
 class TestDataSetValidation:
