@@ -405,9 +405,12 @@ def _segment_optima(
 
     def sums(v: np.ndarray, at: np.ndarray = idx) -> np.ndarray:
         # Row 0 holds each problem's sum over its negatives, row 1 over its
-        # positives.
-        s = np.bincount(at.ravel(), np.broadcast_to(v, at.shape).ravel(), 2 * n_seg)
-        return s.reshape(2, n_seg)
+        # positives. v holds a term per entry of at, or, as a column, one
+        # per row of idx, repeated across the row.
+        v = v.ravel()
+        if v.size < at.size:
+            v = np.repeat(v, seg.shape[1])
+        return np.bincount(at.ravel(), v, 2 * n_seg).reshape(2, n_seg)
 
     # S is formed as E times exp(+-gamma) with E = exp(u F) cached, so the
     # iterations are exp-free in the data dimension. Clipping F only
@@ -748,74 +751,67 @@ def _refit_leaves(
 
 def fit_boost(train: DataSet, config: BoostConfig) -> BoostModel:
     """Fit the cost-weighted boosted ensemble on the training data."""
-    return _fit_lockstep([train], [None], [config])[0]
+    return _fit_lockstep([(train, train.n)], [config])[0]
 
 
-def _fit_lockstep(
-    sets: list[DataSet], held: list[DataSet | None], configs: list[BoostConfig]
-) -> list:
-    """fit_boost of each data set under its config (the configs differ in
-    their seeds alone), every fit checked before the first tree. The fits'
+def _fit_lockstep(fits: list[tuple[DataSet, int]], configs: list[BoostConfig]) -> list:
+    """fit_boost of each fit under its config (the configs differ in their
+    seeds alone), every fit checked before the first tree. A fit (data, n)
+    trains on the first n rows of data and holds out the rest. The fits'
     t-th trees grow in one _grow_tree call and are refit in one solve; no
     fit's numbers depend on another's, so each fit is the one it would be
     alone.
 
-    A fit without held-out rows (held[i] is None) gives its model. One
-    with held-out rows held[i] gives its total weighted deviance on them
-    after each tree, and their weight: its held-out margins advance with
-    each refit tree by the same shrunken leaf values as its training
-    margins, so nothing is replayed after the fit. It keeps no tree and no
-    training deviance."""
+    A fit without held-out rows gives its model. One with held-out rows
+    gives its total weighted deviance on them after each tree, and their
+    weight: its held-out margins advance with each refit tree by the same
+    shrunken leaf values as its training margins, so nothing is replayed
+    after the fit. It keeps no tree and no training deviance."""
     config = configs[0]
-    for train in sets:
-        if train.y.min() == train.y.max():
+    for data, n in fits:
+        if data.y[:n].min() == data.y[:n].max():
             raise FitError("response contains a single class; cannot boost")
-        if config.min_node > train.n:
-            raise FitError(
-                f"min_node={config.min_node} exceeds the {train.n} training rows"
-            )
+        if config.min_node > n:
+            raise FitError(f"min_node={config.min_node} exceeds the {n} training rows")
 
-    ys = [train.y.astype(np.float64) for train in sets]
+    ys = [data.y[:n].astype(np.float64) for data, n in fits]
     ws = [_weights(y, config.cost_ratio) for y in ys]
     weight = [float(w.sum()) for w in ws]
     intercept = [_intercept(y, w, config.cost_ratio) for y, w in zip(ys, ws)]
 
-    # y, w and F of every fit, one block after another.
+    # y, w and F of every fit's training rows, one block after another.
     y, w = np.concatenate(ys), np.concatenate(ws)
-    start = np.cumsum([0] + [train.n for train in sets])
+    start = np.cumsum([0] + [n for _, n in fits])
     F = np.repeat(intercept, np.diff(start))
-    n_bag = [max(1, int(config.bag_fraction * train.n)) for train in sets]
+    n_bag = [max(1, int(config.bag_fraction * n)) for _, n in fits]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    trees = [[] for _ in sets]
-    train_dev = np.empty((len(sets), config.max_trees))
+    trees = [[] for _ in fits]
+    train_dev = np.empty((len(fits), config.max_trees))
     # A fit's training rows, then its held-out rows, walk each tree in one
     # leaf_index call. y, w and F of the held-out rows, and their deviances:
-    Xs = [train.X for train in sets]
     held_out = {}
-    for i, h in enumerate(held):
-        if h is not None:
-            Xs[i] = np.concatenate([Xs[i], h.X])
-            yh = h.y.astype(np.float64)
-            held_out[i] = yh, _weights(yh, config.cost_ratio), np.full(h.n, intercept[i])
-    held_dev = np.empty((len(sets), config.max_trees))
+    for i, (data, n) in enumerate(fits):
+        if n < data.n:
+            yh = data.y[n:].astype(np.float64)
+            held_out[i] = yh, _weights(yh, config.cost_ratio), np.full(data.n - n, intercept[i])
+    held_dev = np.empty((len(fits), config.max_trees))
 
     for t in range(config.max_trees):
         bags = [
-            np.sort(rng.choice(train.n, size=b, replace=False)) if b < train.n
-            else np.arange(train.n)
-            for train, b, rng in zip(sets, n_bag, rngs)
+            np.sort(rng.choice(n, size=b, replace=False)) if b < n else np.arange(n)
+            for (_, n), b, rng in zip(fits, n_bag, rngs)
         ]
-        Xb = np.concatenate([train.X[bag] for train, bag in zip(sets, bags)])
+        Xb = np.concatenate([data.X[bag] for (data, _), bag in zip(fits, bags)])
         bag = np.concatenate([bag + s for bag, s in zip(bags, start)])
-        grown = _grow_tree(Xb, y[bag], w[bag], F[bag], n_bag, config, sets[0].p)
-        leaves = [tree.leaf_index(X) for tree, X in zip(grown, Xs)]
-        in_fit = [leaf[: train.n] for leaf, train in zip(leaves, sets)]
+        grown = _grow_tree(Xb, y[bag], w[bag], F[bag], n_bag, config, fits[0][0].p)
+        leaves = [tree.leaf_index(data.X) for tree, (data, _) in zip(grown, fits)]
+        in_fit = [leaf[:n] for leaf, (_, n) in zip(leaves, fits)]
         grown, row_values = _refit_leaves(grown, in_fit, y, w, F)
         F = F + config.shrinkage * row_values
-        for i, tree in enumerate(grown):
+        for i, (tree, (_, n)) in enumerate(zip(grown, fits)):
             if i in held_out:
                 yh, wh, Fh = held_out[i]
-                Fh += config.shrinkage * tree.value[leaves[i][sets[i].n :]]
+                Fh += config.shrinkage * tree.value[leaves[i][n:]]
                 held_dev[i, t] = _deviance_sum(yh, wh, Fh)
             else:
                 trees[i].append(tree)
@@ -829,11 +825,11 @@ def _fit_lockstep(
             shrinkage=config.shrinkage,
             n_trees_used=len(trees[i]),
             config=configs[i],
-            n_predictors=train.p,
+            n_predictors=data.p,
             train_deviance=train_dev[i],
-            predictor_names=train.schema.names,
+            predictor_names=data.schema.names,
         )
-        for i, train in enumerate(sets)
+        for i, (data, _) in enumerate(fits)
     ]
 
 
@@ -858,10 +854,16 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 def _fit_group(train: DataSet, fold: np.ndarray, fits: list) -> list:
     """Fit each (k, config) of fits in lockstep: on the rows outside fold k,
-    holding out fold k, or on every row when k is None."""
-    sets = [train if k is None else train.take(np.flatnonzero(fold != k)) for k, _ in fits]
-    held = [None if k is None else train.take(np.flatnonzero(fold == k)) for k, _ in fits]
-    return _fit_lockstep(sets, held, [config for _, config in fits])
+    holding out fold k, or on every row when k is None. A fold's rows are
+    gathered once, its training rows first."""
+    data = []
+    for k, _ in fits:
+        if k is None:
+            data.append((train, train.n))
+        else:
+            rows = np.flatnonzero(fold != k)
+            data.append((train.take(np.r_[rows, np.flatnonzero(fold == k)]), len(rows)))
+    return _fit_lockstep(data, [config for _, config in fits])
 
 
 def _workers(n_tasks: int) -> int:
@@ -872,16 +874,24 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
-def _init_worker(parent: int) -> None:
-    """Worker initializer: exit once orphaned, not wait for tasks for ever,
-    and pin glibc's malloc thresholds where libc has mallopt. The fit frees
-    and reallocates MB-sized temporaries at every step; under glibc's
-    dynamic thresholds, which a forked worker inherits from whatever its
-    parent last freed, they would be mapped and unmapped, or trimmed from
-    the heap, and faulted in afresh each time. 32 MiB is glibc's cap on the
-    mmap threshold, and 64 MiB the trim threshold its rule sets there."""
+# The shared arguments of a worker's tasks, set by _init_worker in each
+# worker; the calling process leaves it empty.
+_shared: tuple = ()
+
+
+def _init_worker(parent: int, shared: tuple) -> None:
+    """Worker initializer: keep shared for this worker's tasks, exit once
+    orphaned, not wait for tasks for ever, and pin glibc's malloc
+    thresholds where libc has mallopt. The fit frees and reallocates
+    MB-sized temporaries at every step; under glibc's dynamic thresholds,
+    which a forked worker inherits from whatever its parent last freed,
+    they would be mapped and unmapped, or trimmed from the heap, and
+    faulted in afresh each time. 32 MiB is glibc's cap on the mmap
+    threshold, and 64 MiB the trim threshold its rule sets there."""
     import ctypes
 
+    global _shared
+    _shared = shared
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -895,14 +905,20 @@ def _init_worker(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _run_tasks(tasks: list) -> list:
-    """fn(*args) of each (fn, args) task, in order, run at once in workers. The
-    first error ends the other workers and is re-raised; none outlives the call."""
+def _call_shared(fn, args: tuple):
+    return fn(*_shared, *args)
+
+
+def _run_tasks(fn, shared: tuple, tasks: list) -> list:
+    """fn(*shared, *args) of each task's args, in order, run at once in
+    workers. The workers are forked with shared as their initializer's
+    argument, so they inherit it and only args is pickled. The first error
+    ends the other workers and is re-raised; none outlives the call."""
     if (workers := _workers(len(tasks))) == 1:
-        return [fn(*args) for fn, args in tasks]
+        return [fn(*shared, *args) for args in tasks]
     fork = multiprocessing.get_context("fork")  # spawn would need a __main__ guard
-    with ProcessPoolExecutor(workers, fork, _init_worker, (os.getpid(),)) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in tasks]
+    with ProcessPoolExecutor(workers, fork, _init_worker, (os.getpid(), shared)) as pool:
+        futures = [pool.submit(_call_shared, fn, args) for args in tasks]
         try:
             for future in as_completed(futures):
                 future.result()
@@ -928,7 +944,7 @@ def fit_boost_cv(train: DataSet, config: BoostConfig) -> BoostModel:
     fits.append((None, config))
     # Fit i goes to group i mod W, one group per worker.
     W = _workers(len(fits))
-    groups = _run_tasks([(_fit_group, (train, fold, fits[g::W])) for g in range(W)])
+    groups = _run_tasks(_fit_group, (train, fold), [(fits[g::W],) for g in range(W)])
     *folds, model = (groups[i % W][i // W] for i in range(len(fits)))
     dev, weight = np.zeros(config.max_trees), 0.0
     for fold_dev, fold_weight in folds:  # in fold order

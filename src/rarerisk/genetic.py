@@ -253,18 +253,19 @@ def save_population_csv(
 ) -> None:
     """Write members plus a fitness column; reload is bit-identical.
 
-    A non-finite fitness, or a name that would not read back unchanged,
-    raises GeneticError, and nothing is written."""
-    if names is None:
-        names = PredictorSchema.default(pop.p).names
-    if len(names) != pop.p:
-        raise GeneticError(f"need {pop.p} predictor names, got {len(names)}")
-    if not (finite := np.isfinite(pop.fitness)).all():
-        i = int(np.argmin(finite))
-        raise GeneticError(
-            f"population CSV: member {i + 1} has fitness {float(pop.fitness[i])!r}"
-        )
+    A non-finite fitness, a name that would not read back unchanged, or
+    default names for no predictors raise GeneticError, and nothing is
+    written."""
     try:
+        if names is None:
+            names = PredictorSchema.default(pop.p).names
+        if len(names) != pop.p:
+            raise GeneticError(f"need {pop.p} predictor names, got {len(names)}")
+        if not (finite := np.isfinite(pop.fitness)).all():
+            i = int(np.argmin(finite))
+            raise GeneticError(
+                f"population CSV: member {i + 1} has fitness {float(pop.fitness[i])!r}"
+            )
         _write_binary_csv(
             path, [*names, "fitness"], pop.members, map(repr, pop.fitness.tolist())
         )

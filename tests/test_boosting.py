@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import sys
 import time
 
@@ -30,7 +31,7 @@ from rarerisk.boosting import (
     model_to_dict,
     save_model,
 )
-from rarerisk.dataset import SynthSpec, synthesize
+from rarerisk.dataset import DataSet, SynthSpec, synthesize
 from rarerisk.errors import FitError, StratificationError
 
 from conftest import binary_dataset, make_model, make_stump
@@ -704,7 +705,7 @@ class SolverSpy:
 def assert_trees_match_oracle(cfg, monkeypatch, *sets):
     # The data sets are fitted in lockstep, and each must get the model
     # that the reference grows for it alone.
-    got = boosting._fit_lockstep(list(sets), [None] * len(sets), [cfg] * len(sets))
+    got = boosting._fit_lockstep([(ds, ds.n) for ds in sets], [cfg] * len(sets))
     with monkeypatch.context() as mp:
         mp.setattr(boosting, "_grow_tree", _reference_grow_trees)
         want = [fit_boost(ds, cfg) for ds in sets]
@@ -978,6 +979,24 @@ class TestCv:
             models.append(model_to_dict(fit_boost_cv(ds, cfg)))
         assert all(m == models[0] for m in models[1:])
 
+    def test_workers_inherit_the_training_set(self, monkeypatch):
+        # The training set reaches the workers through the fork: the calling
+        # process may not pickle it.
+        ds = synth(n=500, seed=11, base_rate=0.2)
+        cfg = small_config(max_trees=6, cv_folds=5, seed=9, cost_ratio=2.0)
+        monkeypatch.setattr(boosting, "_workers", lambda n: 1)
+        want = model_to_dict(fit_boost_cv(ds, cfg))
+        parent = os.getpid()
+
+        def refuse(self, protocol):
+            if os.getpid() == parent:
+                raise AssertionError("the calling process pickled a DataSet")
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(DataSet, "__reduce_ex__", refuse, raising=False)
+        monkeypatch.setattr(boosting, "_workers", lambda n: 2)
+        assert model_to_dict(fit_boost_cv(ds, cfg)) == want
+
     def test_fold_fits_keep_only_their_held_out_curve(self, monkeypatch):
         # Per tree, each of the five folds sums its held-out deviance and
         # the refit its training deviance; a fold sums no training deviance.
@@ -1048,7 +1067,7 @@ class TestCv:
         # past the 8 MiB trim threshold that glibc's dynamic rule sets after
         # freeing one; unpinned, every round faults them in afresh (about
         # 3000 faults a round).
-        faults = boosting._run_tasks([(_minor_faults_of_reallocation, (20,))] * 2)
+        faults = boosting._run_tasks(_minor_faults_of_reallocation, (), [(20,)] * 2)
         assert max(faults) < 256
 
 

@@ -313,3 +313,11 @@ class TestPopulationIo:
     def test_rejects_invalid_members(self):
         with pytest.raises(GeneticError):
             Population(np.array([[2]]), np.array([0.5]))
+
+    def test_unnamed_population_without_predictors(self, tmp_path):
+        # Default names need a predictor: the refusal is a GeneticError, and
+        # nothing is written.
+        pop = Population(np.zeros((2, 0), np.uint8), np.zeros(2))
+        with pytest.raises(GeneticError):
+            save_population_csv(pop, tmp_path / "pop.csv")
+        assert list(tmp_path.iterdir()) == []
